@@ -127,7 +127,7 @@ def complex_phrase_query(index_dir: str, query: str) -> Query:
     an executable Query. A single-element phrase degrades to that
     element's non-span form, like the reference (a 1-clause phrase is the
     clause itself)."""
-    from .pipelines.search import _leaves, _open_leaf
+    from .pipelines.search import open_leaf
     from .state import manifest as mf
 
     m = _PHRASE.match(query)
@@ -143,13 +143,8 @@ def complex_phrase_query(index_dir: str, query: str) -> Query:
         raise ComplexPhraseParseError("empty phrase")
     parsed = [classic_parse(p) for p in parts]
 
-    manifest = mf.read_index_manifest(index_dir)
-    leaves = [
-        _open_leaf(index_dir, {"dir": l["dir"], "doc_base": l["doc_base"],
-                               "leaf_ord": i, "num_docs": l["num_docs"],
-                               "deletes": l.get("deletes")})
-        for i, l in enumerate(_leaves(manifest))
-    ]
+    leaves = [open_leaf(index_dir, row) for row in
+              mf.leaf_rows(index_dir, mf.read_index_manifest(index_dir))]
     if len(parsed) == 1:
         # single element: the reference returns the element query itself
         q = parsed[0]

@@ -194,8 +194,7 @@ def expression_sort(
     import ray
     import ray.data
 
-    from .pipelines.analytics import _leaf_items
-    from .pipelines.search import _open_leaf, gather_stats
+    from .pipelines.search import gather_stats, leaf_dataset, open_leaf
     from .queries import collect_field_terms, collect_terms
     from .state import manifest as mf
 
@@ -212,7 +211,7 @@ def expression_sort(
         q, ctx_l, e_l, binds_l, k_l = ray.get(bcast)
         parts = []
         for row in batch.to_dict("records"):
-            leaf = _open_leaf(index_dir, row)
+            leaf = open_leaf(index_dir, row)
             docids, scores = execute(q, leaf, ctx_l)
             if len(docids) == 0:
                 continue
@@ -234,8 +233,7 @@ def expression_sort(
                                  "value": pd.Series([], dtype="float64")})
         return pd.concat(parts, ignore_index=True)
 
-    items = _leaf_items(manifest)
-    ds = ray.data.from_items(items, override_num_blocks=max(1, len(items)))
+    ds = leaf_dataset(index_dir, manifest)
     partials = ds.map_batches(leaf_topk, batch_format="pandas",
                               batch_size=4).to_pandas()
     if len(partials) == 0 or "docid" not in partials.columns:

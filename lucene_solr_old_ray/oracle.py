@@ -109,6 +109,7 @@ class OracleIndex:
                 F(F(1.2) * F(F(0.25) + F(F(F(0.75) * decoded) / self.avgdl)))
             )
         self.vocab = sorted(self.df)
+        self._mtq_rewrites: dict[Query, BooleanQuery] = {}
 
     def weight(self, term: str, boost: float) -> F:
         df = self.df.get(term, 0)
@@ -158,7 +159,10 @@ class OracleIndex:
     def _match(self, q: Query, d: int, boost: float) -> tuple[bool, F]:
         if isinstance(q, (PrefixQuery, WildcardQuery, RegexpQuery, FuzzyQuery)) \
                 and getattr(q, "rewrite", "constant") == "scoring_boolean":
-            return self._match(self._rewrite_scoring_mtq(q), d, boost)
+            rq = self._mtq_rewrites.get(q)
+            if rq is None:  # once per query, not once per doc
+                rq = self._mtq_rewrites[q] = self._rewrite_scoring_mtq(q)
+            return self._match(rq, d, boost)
         if isinstance(q, RegexpQuery):
             import re as _re
 

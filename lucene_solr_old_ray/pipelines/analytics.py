@@ -21,16 +21,7 @@ import ray.data
 from ..queries import Query, collect_field_terms, collect_terms
 from ..stages.search import LeafSearcher, execute
 from ..state import manifest as mf
-from .search import _leaves, _open_leaf, gather_stats
-
-
-def _leaf_items(manifest: dict) -> list[dict]:
-    leaves = _leaves(manifest)
-    return [
-        {"dir": l["dir"], "doc_base": l["doc_base"], "leaf_ord": i,
-         "num_docs": l["num_docs"], "deletes": l.get("deletes")}
-        for i, l in enumerate(leaves)
-    ]
+from .search import gather_stats, leaf_dataset, open_leaf
 
 
 def facet_counts(index_dir: str, query: Query, facet_col: str) -> pa.Table:
@@ -47,7 +38,7 @@ def facet_counts(index_dir: str, query: Query, facet_col: str) -> pa.Table:
         ctx_l = ray.get(ctx_ref)
         parts = []
         for row in batch.to_dict("records"):
-            leaf = _open_leaf(index_dir, row)
+            leaf = open_leaf(index_dir, row)
             docids, _ = execute(q, leaf, ctx_l)
             if len(docids) == 0:
                 continue
@@ -65,8 +56,7 @@ def facet_counts(index_dir: str, query: Query, facet_col: str) -> pa.Table:
                                  "count": pd.Series([], dtype="int64")})
         return pd.concat(parts, ignore_index=True)
 
-    items = _leaf_items(manifest)
-    ds = ray.data.from_items(items, override_num_blocks=max(1, len(items)))
+    ds = leaf_dataset(index_dir, manifest)
     partials = ds.map_batches(leaf_counts, batch_format="pandas", batch_size=4).to_pandas()
     if len(partials) == 0:
         return pa.table({facet_col: pa.array([], pa.string()),
@@ -104,7 +94,7 @@ def group_facet_counts(
         ctx_l = ray.get(ctx_ref)
         parts = []
         for row in batch.to_dict("records"):
-            leaf = _open_leaf(index_dir, row)
+            leaf = open_leaf(index_dir, row)
             docids, _ = execute(q, leaf, ctx_l)
             if len(docids) == 0:
                 continue
@@ -147,8 +137,7 @@ def group_facet_counts(
                                  "missing": pd.Series([], dtype="int64")})
         return pd.concat(parts, ignore_index=True)
 
-    items = _leaf_items(manifest)
-    ds = ray.data.from_items(items, override_num_blocks=max(1, len(items)))
+    ds = leaf_dataset(index_dir, manifest)
     partials = ds.map_batches(leaf_counts, batch_format="pandas",
                               batch_size=4).to_pandas()
     if len(partials) == 0 or "value" not in partials.columns:
@@ -191,7 +180,7 @@ def total_facet_counts(index_dir: str, facet_col: str) -> pd.DataFrame:
     def leaf_totals(batch: pd.DataFrame) -> pd.DataFrame:
         parts = []
         for row in batch.to_dict("records"):
-            leaf = _open_leaf(index_dir, row)
+            leaf = open_leaf(index_dir, row)
             ords, values = leaf.dv_sorted(facet_col)
             o = np.asarray(ords)
             if leaf.live is not None:
@@ -206,8 +195,7 @@ def total_facet_counts(index_dir: str, facet_col: str) -> pd.DataFrame:
                                  "count": pd.Series([], dtype="int64")})
         return pd.concat(parts, ignore_index=True)
 
-    items = _leaf_items(manifest)
-    ds = ray.data.from_items(items, override_num_blocks=max(1, len(items)))
+    ds = leaf_dataset(index_dir, manifest)
     partials = ds.map_batches(leaf_totals, batch_format="pandas",
                               batch_size=4).to_pandas()
     out = (partials.groupby(facet_col, as_index=False)["count"].sum()
@@ -245,12 +233,11 @@ def facet_counts_complement(
         ctx_l = ray.get(ctx_ref)
         ns = []
         for row in batch.to_dict("records"):
-            leaf = _open_leaf(index_dir, row)
+            leaf = open_leaf(index_dir, row)
             ns.append(len(execute(q, leaf, ctx_l)[0]))
         return pd.DataFrame({"n": ns})
 
-    items = _leaf_items(manifest)
-    ds = ray.data.from_items(items, override_num_blocks=max(1, len(items)))
+    ds = leaf_dataset(index_dir, manifest)
     n_matches = int(ds.map_batches(leaf_match_counts, batch_format="pandas",
                                    batch_size=4).to_pandas()["n"].sum())
     use_complement = n_matches > num_docs * complement_threshold
@@ -264,7 +251,7 @@ def facet_counts_complement(
         ctx_l = ray.get(ctx_ref)
         parts = []
         for row in batch.to_dict("records"):
-            leaf = _open_leaf(index_dir, row)
+            leaf = open_leaf(index_dir, row)
             docids, _ = execute(q, leaf, ctx_l)
             mask = np.ones(leaf.num_docs, dtype=bool)
             mask[docids] = False
@@ -282,7 +269,6 @@ def facet_counts_complement(
                                  "count": pd.Series([], dtype="int64")})
         return pd.concat(parts, ignore_index=True)
 
-    ds = ray.data.from_items(items, override_num_blocks=max(1, len(items)))
     comp = ds.map_batches(leaf_complement_counts, batch_format="pandas",
                           batch_size=4).to_pandas()
     if len(comp) and facet_col in comp.columns:
@@ -316,7 +302,7 @@ def facet_counts_set(index_dir: str, query: Query, facet_col: str) -> pa.Table:
         ctx_l = ray.get(ctx_ref)
         parts = []
         for row in batch.to_dict("records"):
-            leaf = _open_leaf(index_dir, row)
+            leaf = open_leaf(index_dir, row)
             docids, _ = execute(q, leaf, ctx_l)
             if len(docids) == 0:
                 continue
@@ -340,8 +326,7 @@ def facet_counts_set(index_dir: str, query: Query, facet_col: str) -> pa.Table:
                                  "count": pd.Series([], dtype="int64")})
         return pd.concat(parts, ignore_index=True)
 
-    items = _leaf_items(manifest)
-    ds = ray.data.from_items(items, override_num_blocks=max(1, len(items)))
+    ds = leaf_dataset(index_dir, manifest)
     partials = ds.map_batches(leaf_counts, batch_format="pandas",
                               batch_size=4).to_pandas()
     if len(partials) == 0:
@@ -376,7 +361,7 @@ def facet_counts_hierarchical(
         ctx_l = ray.get(ctx_ref)
         parts = []
         for row in batch.to_dict("records"):
-            leaf = _open_leaf(index_dir, row)
+            leaf = open_leaf(index_dir, row)
             docids, _ = execute(q, leaf, ctx_l)
             if len(docids) == 0:
                 continue
@@ -402,8 +387,7 @@ def facet_counts_hierarchical(
                                  "count": pd.Series([], dtype="int64")})
         return pd.concat(parts, ignore_index=True)
 
-    items = _leaf_items(manifest)
-    ds = ray.data.from_items(items, override_num_blocks=max(1, len(items)))
+    ds = leaf_dataset(index_dir, manifest)
     partials = ds.map_batches(leaf_counts, batch_format="pandas",
                               batch_size=4).to_pandas()
     if len(partials) == 0:
@@ -440,7 +424,7 @@ def facet_range_counts(
         ctx_l = ray.get(ctx_ref)
         acc = np.zeros(len(rngs), dtype=np.int64)
         for row in batch.to_dict("records"):
-            leaf = _open_leaf(index_dir, row)
+            leaf = open_leaf(index_dir, row)
             docids, _ = execute(q, leaf, ctx_l)
             if len(docids) == 0:
                 continue
@@ -457,8 +441,7 @@ def facet_range_counts(
         return pd.DataFrame({"ord": np.arange(len(rngs), dtype=np.int64),
                              "count": acc})
 
-    items = _leaf_items(manifest)
-    ds = ray.data.from_items(items, override_num_blocks=max(1, len(items)))
+    ds = leaf_dataset(index_dir, manifest)
     partials = ds.map_batches(leaf_counts, batch_format="pandas",
                               batch_size=4).to_pandas()
     tot = partials.groupby("ord")["count"].sum() if len(partials) else {}
@@ -516,7 +499,7 @@ def facet_counts_sampled(
         ctx_l = ray.get(ctx_ref)
         parts = []
         for row in batch.to_dict("records"):
-            leaf = _open_leaf(index_dir, row)
+            leaf = open_leaf(index_dir, row)
             docids, _ = execute(q, leaf, ctx_l)
             if len(docids) == 0:
                 continue
@@ -559,8 +542,7 @@ def facet_counts_sampled(
         return (pd.concat(parts, ignore_index=True) if parts
                 else pd.DataFrame())
 
-    items = _leaf_items(manifest)
-    ds = ray.data.from_items(items, override_num_blocks=max(1, len(items)))
+    ds = leaf_dataset(index_dir, manifest)
     partials = ds.map_batches(leaf_sampled, batch_format="pandas",
                               batch_size=4).to_pandas()
     empty = pa.table({"value": pa.array([], pa.string()),
@@ -676,7 +658,7 @@ def sort_by_fields(
         ctx_l = ray.get(ctx_ref)
         parts = []
         for row in batch.to_dict("records"):
-            leaf = _open_leaf(index_dir, row)
+            leaf = open_leaf(index_dir, row)
             docids, _ = execute(q, leaf, ctx_l)
             if len(docids) == 0:
                 continue
@@ -694,8 +676,7 @@ def sort_by_fields(
                                     for f in names}})
         return pd.concat(parts, ignore_index=True)
 
-    items = _leaf_items(manifest)
-    ds = ray.data.from_items(items, override_num_blocks=max(1, len(items)))
+    ds = leaf_dataset(index_dir, manifest)
     partials = ds.map_batches(leaf_topk, batch_format="pandas",
                               batch_size=4).to_pandas()
     if len(partials) == 0 or "docid" not in partials.columns:
@@ -747,7 +728,7 @@ def group_topk(
         ctx_l = ray.get(ctx_ref)
         parts = []
         for row in batch.to_dict("records"):
-            leaf = _open_leaf(index_dir, row)
+            leaf = open_leaf(index_dir, row)
             docids, scores = execute(q, leaf, ctx_l)
             if len(docids) == 0:
                 continue
@@ -766,8 +747,7 @@ def group_topk(
                                  "score": pd.Series([], dtype="float32")})
         return pd.concat(parts, ignore_index=True)
 
-    items = _leaf_items(manifest)
-    ds = ray.data.from_items(items, override_num_blocks=max(1, len(items)))
+    ds = leaf_dataset(index_dir, manifest)
     partials = ds.map_batches(leaf_group_topk, batch_format="pandas",
                               batch_size=4).to_pandas()
     if len(partials) == 0:
@@ -817,7 +797,7 @@ def group_topk_two_pass(
     q_ref = ray.put(query)
 
     def leaf_of(row) -> LeafSearcher:
-        return _open_leaf(index_dir, row)
+        return open_leaf(index_dir, row)
 
     def first_pass(batch: pd.DataFrame) -> pd.DataFrame:
         q = ray.get(q_ref)
@@ -850,8 +830,7 @@ def group_topk_two_pass(
                             kind="mergesort").drop_duplicates("grp")
         return gb.head(n_groups)[["grp", "docid", "score"]]
 
-    items = _leaf_items(manifest)
-    ds = ray.data.from_items(items, override_num_blocks=max(1, len(items)))
+    ds = leaf_dataset(index_dir, manifest)
     cand = (
         ds.map_batches(first_pass, batch_format="pandas", batch_size=4)
         .groupby("g")
@@ -932,14 +911,13 @@ def match_doc_ids(index_dir: str, query: Query) -> pa.Table:
         ctx_l = ray.get(ctx_ref)
         parts = []
         for row in batch.to_dict("records"):
-            leaf = _open_leaf(index_dir, row)
+            leaf = open_leaf(index_dir, row)
             docids, _ = execute(q, leaf, ctx_l)
             parts.append(pd.DataFrame({"docid": docids + leaf.doc_base}))
         return pd.concat(parts, ignore_index=True) if parts else pd.DataFrame(
             {"docid": pd.Series([], dtype="int64")})
 
-    items = _leaf_items(manifest)
-    ds = ray.data.from_items(items, override_num_blocks=max(1, len(items)))
+    ds = leaf_dataset(index_dir, manifest)
     out = ds.map_batches(leaf_hits, batch_format="pandas", batch_size=4).to_pandas()
     if "docid" not in out.columns:
         out = pd.DataFrame({"docid": pd.Series([], dtype="int64")})
@@ -963,14 +941,13 @@ def collect_hits(index_dir: str, query: Query, collector) -> pa.Table:
         ctx_l, q, coll = ray.get(bcast)
         parts = []
         for row in batch.to_dict("records"):
-            leaf = _open_leaf(index_dir, row)
+            leaf = open_leaf(index_dir, row)
             docids, scores = execute(q, leaf, ctx_l)
             parts.append(coll(leaf.ord, leaf.doc_base, docids, scores))
         return (pd.concat(parts, ignore_index=True) if parts
                 else pd.DataFrame())
 
-    items = _leaf_items(manifest)
-    ds = ray.data.from_items(items, override_num_blocks=max(1, len(items)))
+    ds = leaf_dataset(index_dir, manifest)
     out = ds.map_batches(leaf_collect, batch_format="pandas",
                          batch_size=4).to_pandas()
     return pa.Table.from_pandas(out, preserve_index=False)
@@ -994,7 +971,7 @@ def sort_by_field(
         ctx_l = ray.get(ctx_ref)
         parts = []
         for row in batch.to_dict("records"):
-            leaf = _open_leaf(index_dir, row)
+            leaf = open_leaf(index_dir, row)
             docids, _ = execute(q, leaf, ctx_l)
             if len(docids) == 0:
                 continue
@@ -1010,8 +987,7 @@ def sort_by_field(
                                  field: pd.Series([], dtype="int64")})
         return pd.concat(parts, ignore_index=True)
 
-    items = _leaf_items(manifest)
-    ds = ray.data.from_items(items, override_num_blocks=max(1, len(items)))
+    ds = leaf_dataset(index_dir, manifest)
     partials = ds.map_batches(leaf_topk, batch_format="pandas", batch_size=4).to_pandas()
     if len(partials) == 0:
         return pa.table({"rank": pa.array([], pa.int64()),
@@ -1052,7 +1028,7 @@ def export_matches(index_dir: str, query: Query, out_dir: str) -> int:
                              "rows": pq_.read_metadata(final).num_rows,
                              "skipped": True})
                 continue
-            leaf = _open_leaf(index_dir, {**row, "leaf_ord": ord_})
+            leaf = open_leaf(index_dir, {**row, "leaf_ord": ord_})
             docids, scores = execute(q, leaf, ctx_l)
             t = leaf.docmap.take(pa.array(docids))
             t = t.append_column("docid", pa.array(docids + leaf.doc_base))
@@ -1063,8 +1039,7 @@ def export_matches(index_dir: str, query: Query, out_dir: str) -> int:
             rows.append({"leaf_ord": ord_, "rows": t.num_rows, "skipped": False})
         return pd.DataFrame(rows)
 
-    items = _leaf_items(manifest)
-    ds = ray.data.from_items(items, override_num_blocks=max(1, len(items)))
+    ds = leaf_dataset(index_dir, manifest)
     rep = ds.map_batches(leaf_export, batch_format="pandas", batch_size=2).to_pandas()
     return int(rep["rows"].sum())
 
@@ -1082,13 +1057,12 @@ def count_matches(index_dir: str, query: Query) -> int:
         ctx_l = ray.get(ctx_ref)
         rows = []
         for row in batch.to_dict("records"):
-            leaf = _open_leaf(index_dir, row)
+            leaf = open_leaf(index_dir, row)
             docids, _ = execute(q, leaf, ctx_l)
             rows.append({"n": len(docids)})
         return pd.DataFrame(rows)
 
-    items = _leaf_items(manifest)
-    ds = ray.data.from_items(items, override_num_blocks=max(1, len(items)))
+    ds = leaf_dataset(index_dir, manifest)
     return int(ds.map_batches(leaf_count, batch_format="pandas",
                               batch_size=4).to_pandas()["n"].sum())
 
@@ -1117,7 +1091,7 @@ def high_freq_terms(
     manifest = mf.read_index_manifest(index_dir)
     fp = fprefix(field)
     files = [os.path.join(index_dir, s["dir"], fp + "terms.parquet")
-             for s in _leaves(manifest)]
+             for s in mf.leaf_rows(index_dir, manifest)]
 
     def partial(batch: pa.Table) -> pd.DataFrame:
         t = batch["term"].to_pandas().map(
@@ -1178,10 +1152,9 @@ def auto_stop_words(
     from ..state.fields import fprefix
 
     manifest = mf.read_index_manifest(index_dir)
-    leaves = _leaves(manifest)
+    leaves = mf.leaf_rows(index_dir, manifest)
     if max_doc_freq is None:
-        num_docs = sum(
-            l["num_docs"] - len(l.get("deletes") or ()) for l in leaves)
+        num_docs = sum(mf.live_docs(l) for l in leaves)
         max_doc_freq = int(max_percent * num_docs)
     fp = fprefix(field)
     files = [os.path.join(index_dir, s["dir"], fp + "terms.parquet")
@@ -1244,7 +1217,7 @@ def facet_sum_associations(
         ctx_l = ray.get(ctx_ref)
         parts = []
         for row in batch.to_dict("records"):
-            leaf = _open_leaf(index_dir, row)
+            leaf = open_leaf(index_dir, row)
             docids, _ = execute(q, leaf, ctx_l)
             if len(docids) == 0:
                 continue
@@ -1265,8 +1238,7 @@ def facet_sum_associations(
                                  "sum": pd.Series([], dtype="float64")})
         return pd.concat(parts, ignore_index=True)
 
-    items = _leaf_items(manifest)
-    ds = ray.data.from_items(items, override_num_blocks=max(1, len(items)))
+    ds = leaf_dataset(index_dir, manifest)
     partials = ds.map_batches(leaf_sums, batch_format="pandas",
                               batch_size=4).to_pandas()
     if len(partials) == 0:
@@ -1296,7 +1268,7 @@ def all_groups_count(index_dir: str, query: Query,
         ctx_l = ray.get(ctx_ref)
         vals: set = set()
         for row in batch.to_dict("records"):
-            leaf = _open_leaf(index_dir, row)
+            leaf = open_leaf(index_dir, row)
             docids, _ = execute(q, leaf, ctx_l)
             if len(docids) == 0:
                 continue
@@ -1309,8 +1281,7 @@ def all_groups_count(index_dir: str, query: Query,
                     leaf, ctx_l, group_field, docids)).tolist())
         return pd.DataFrame({"v": pd.Series(sorted(vals), dtype=object)})
 
-    items = _leaf_items(manifest)
-    ds = ray.data.from_items(items, override_num_blocks=max(1, len(items)))
+    ds = leaf_dataset(index_dir, manifest)
     parts = ds.map_batches(leaf_groups, batch_format="pandas",
                            batch_size=4).to_pandas()
     return int(parts["v"].nunique()) if len(parts) else 0
@@ -1333,7 +1304,7 @@ def group_heads(index_dir: str, query: Query, group_field: str,
         ctx_l = ray.get(ctx_ref)
         parts = []
         for row in batch.to_dict("records"):
-            leaf = _open_leaf(index_dir, row)
+            leaf = open_leaf(index_dir, row)
             docids, _ = execute(q, leaf, ctx_l)
             if len(docids) == 0:
                 continue
@@ -1357,8 +1328,7 @@ def group_heads(index_dir: str, query: Query, group_field: str,
                                  "value": pd.Series([], dtype="int64")})
         return pd.concat(parts, ignore_index=True)
 
-    items = _leaf_items(manifest)
-    ds = ray.data.from_items(items, override_num_blocks=max(1, len(items)))
+    ds = leaf_dataset(index_dir, manifest)
     parts = ds.map_batches(leaf_heads, batch_format="pandas",
                            batch_size=4).to_pandas()
     if len(parts) == 0:
@@ -1388,7 +1358,7 @@ def distinct_values(index_dir: str, query: Query, group_field: str,
         ctx_l = ray.get(ctx_ref)
         parts = []
         for row in batch.to_dict("records"):
-            leaf = _open_leaf(index_dir, row)
+            leaf = open_leaf(index_dir, row)
             docids, _ = execute(q, leaf, ctx_l)
             if len(docids) == 0:
                 continue
@@ -1404,8 +1374,7 @@ def distinct_values(index_dir: str, query: Query, group_field: str,
                                  "value": pd.Series([], dtype=object)})
         return pd.concat(parts, ignore_index=True)
 
-    items = _leaf_items(manifest)
-    ds = ray.data.from_items(items, override_num_blocks=max(1, len(items)))
+    ds = leaf_dataset(index_dir, manifest)
     parts = ds.map_batches(leaf_pairs, batch_format="pandas",
                            batch_size=4).to_pandas()
     if len(parts) == 0:

@@ -67,8 +67,8 @@ def block_join_top_groups(
 
     from ..queries import collect_field_terms, collect_terms
     from ..stages.search import execute
-    from .analytics import _leaf_items, sort_by_fields
-    from .search import _open_leaf, gather_stats, search
+    from .analytics import sort_by_fields
+    from .search import gather_stats, leaf_dataset, open_leaf, search
 
     if parent_sort:
         res = sort_by_fields(index_dir, q, parent_sort,
@@ -113,7 +113,7 @@ def block_join_top_groups(
             hi = np.searchsorted(wanted_l, base + nd)
             if lo == hi:
                 continue  # no selected parent lives in this leaf
-            leaf = _open_leaf(index_dir, row)
+            leaf = open_leaf(index_dir, row)
             parents, _ = execute(
                 TermQuery(q_l.parent_value, field=q_l.parent_field),
                 leaf, ctx_l)
@@ -138,8 +138,7 @@ def block_join_top_groups(
         return (pd.concat(parts, ignore_index=True) if parts
                 else pd.DataFrame())
 
-    items = _leaf_items(manifest)
-    ds = ray.data.from_items(items, override_num_blocks=max(1, len(items)))
+    ds = leaf_dataset(index_dir, manifest)
     kids = ds.map_batches(leaf_children, batch_format="pandas",
                           batch_size=4).to_pandas()
     if "parent_docid" not in kids.columns:
@@ -210,7 +209,7 @@ def block_grouping_top_groups(
     import ray
     import ray.data
 
-    from .search import _leaves, _open_leaf, gather_stats
+    from .search import gather_stats, leaf_dataset, open_leaf
     from ..queries import collect_field_terms, collect_terms
     from ..stages.search import execute
 
@@ -227,7 +226,7 @@ def block_grouping_top_groups(
         ctx_l = ray.get(ctx_ref)
         parts = []
         for row in batch.to_dict("records"):
-            leaf = _open_leaf(index_dir, row)
+            leaf = open_leaf(index_dir, row)
             ends = execute(geq, leaf, ctx_l)[0]
             if len(ends) == 0:
                 continue
@@ -269,13 +268,7 @@ def block_grouping_top_groups(
                 "score": pd.Series([], dtype="float32")})
         return pd.concat(parts, ignore_index=True)
 
-    leaves = _leaves(manifest)
-    items = [
-        {"dir": l["dir"], "doc_base": l["doc_base"], "leaf_ord": i,
-         "num_docs": l["num_docs"], "deletes": l.get("deletes")}
-        for i, l in enumerate(leaves)
-    ]
-    ds = ray.data.from_items(items, override_num_blocks=max(1, len(items)))
+    ds = leaf_dataset(index_dir, manifest)
     rows = ds.map_batches(leaf_groups, batch_format="pandas",
                           batch_size=4).to_pandas()
     if len(rows) == 0 or "ghead" not in rows.columns:
@@ -334,8 +327,7 @@ def sort_parents_by_child_field(
 
     from ..queries import collect_field_terms, collect_terms
     from ..stages.search import execute
-    from .analytics import _leaf_items
-    from .search import _open_leaf, gather_stats
+    from .search import gather_stats, leaf_dataset, open_leaf
 
     highest = reverse if order is None else order
     ascending = not reverse
@@ -354,7 +346,7 @@ def sort_parents_by_child_field(
         ctx_l, q_l, cf = ray.get(bcast)
         parts = []
         for row in batch.to_dict("records"):
-            leaf = _open_leaf(index_dir, row)
+            leaf = open_leaf(index_dir, row)
             hits, _ = execute(q_l, leaf, ctx_l)
             if len(hits) == 0:
                 continue
@@ -390,8 +382,7 @@ def sort_parents_by_child_field(
         return (pd.concat(parts, ignore_index=True) if parts
                 else pd.DataFrame())
 
-    items = _leaf_items(manifest)
-    ds = ray.data.from_items(items, override_num_blocks=max(1, len(items)))
+    ds = leaf_dataset(index_dir, manifest)
     partials = ds.map_batches(leaf_topk, batch_format="pandas",
                               batch_size=4).to_pandas()
     if "docid" not in partials.columns or not len(partials):

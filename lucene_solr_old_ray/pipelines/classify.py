@@ -42,9 +42,8 @@ import ray.data
 
 from ..functions.analysis import analyze_text
 from ..state import manifest as mf
-from .analytics import _leaf_items
 from .mlt import _mlt_from_tf
-from .search import _open_leaf, fetch_doc_meta, search
+from .search import fetch_doc_meta, leaf_dataset, open_leaf, search
 
 
 def classify_knn(
@@ -110,7 +109,7 @@ def _nb_leaf_partials(index_dir: str, class_field: str):
             ws = ray.get(words_ref)
             rows = []
             for row in batch.to_dict("records"):
-                leaf = _open_leaf(index_dir, row)
+                leaf = open_leaf(index_dir, row)
                 ords, values = leaf.dv_sorted(class_field)
                 ords = np.asarray(ords)
                 nclasses = len(values)
@@ -138,9 +137,7 @@ def _nb_leaf_partials(index_dir: str, class_field: str):
             return pd.DataFrame(rows)
 
         manifest = mf.read_index_manifest(index_dir)
-        items = _leaf_items(manifest)
-        ds = ray.data.from_items(items,
-                                 override_num_blocks=max(1, len(items)))
+        ds = leaf_dataset(index_dir, manifest)
         parts = ds.map_batches(leaf_counts, batch_format="pandas",
                                batch_size=4).to_pandas()
         # roll up across leaves (class dicts are per-leaf; align by value)
@@ -206,7 +203,7 @@ class BooleanPerceptronClassifier:
         def leaf_weights(batch: pd.DataFrame) -> pd.DataFrame:
             rows = []
             for row in batch.to_dict("records"):
-                leaf = _open_leaf(index_dir, row)
+                leaf = open_leaf(index_dir, row)
                 terms = leaf.terms_range_np(0, leaf.nterms)
                 rows.append({"terms": [str(t) for t in terms],
                              "ttfs": leaf.ttf.astype(np.int64).tolist(),
@@ -214,7 +211,7 @@ class BooleanPerceptronClassifier:
             return pd.DataFrame(rows)
 
         manifest = mf.read_index_manifest(index_dir)
-        items = _leaf_items(manifest)
+        items = mf.leaf_rows(index_dir, manifest)
         parts = ray.data.from_items(
             items, override_num_blocks=max(1, len(items))).map_batches(
             leaf_weights, batch_format="pandas", batch_size=4).to_pandas()

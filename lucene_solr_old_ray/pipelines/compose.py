@@ -28,17 +28,16 @@ def union_indexes(dst_dir: str, src_dirs: list[str]) -> dict:
         man = mf.read_index_manifest(src)
         for fn, fs in man["stats"].get("fields", {}).items():
             field_tf[fn] = field_tf.get(fn, 0) + int(fs["sum_total_term_freq"])
-        for leaf in sorted(man["segments"], key=lambda s: s["doc_base"]):
+        for leaf in mf.leaf_rows(src, man):
             entry = {
                 "dir": os.path.abspath(os.path.join(src, leaf["dir"])),
                 "part_id": part,
                 "doc_base": doc_base + leaf["doc_base"],
                 "num_docs": leaf["num_docs"],
             }
-            if leaf.get("deletes"):  # tombstones travel with the leaf
-                entry["deletes"] = os.path.abspath(
-                    os.path.join(src, leaf["deletes"]))
-                entry["num_deleted"] = leaf.get("num_deleted", 0)
+            if leaf["deletes"]:  # tombstones travel with the leaf
+                entry["deletes"] = leaf["deletes"]
+                entry["num_deleted"] = leaf["num_docs"] - mf.live_docs(leaf)
             segments.append(entry)
             part += 1
         max_doc += man["stats"]["max_doc"]

@@ -33,18 +33,10 @@ import ray
 import ray.data
 
 from ..queries import Query, collect_field_terms, collect_terms
-from ..stages.search import LeafSearcher, execute
+from ..stages.search import execute
 from ..state import docvalues as dv
 from ..state import manifest as mf
-from .search import _leaves, gather_stats
-
-
-def _leaf_items(index_dir: str, manifest: dict) -> list[dict]:
-    return [
-        {"dir": l["dir"], "doc_base": l["doc_base"], "leaf_ord": i,
-         "num_docs": l["num_docs"], "deletes": l.get("deletes")}
-        for i, l in enumerate(_leaves(manifest))
-    ]
+from .search import gather_stats, leaf_dataset, open_leaf
 
 
 def delete_by_query(index_dir: str, query: Query) -> dict:
@@ -63,12 +55,7 @@ def delete_by_query(index_dir: str, query: Query) -> dict:
         ctx_l = ray.get(ctx_ref)
         rows = []
         for row in batch.to_dict("records"):
-            leaf = LeafSearcher(
-                os.path.join(index_dir, row["dir"]),
-                int(row["doc_base"]), int(row["leaf_ord"]), int(row["num_docs"]),
-                deletes_path=(os.path.join(index_dir, row["deletes"])
-                              if row.get("deletes") else None),
-            )
+            leaf = open_leaf(index_dir, row)
             docids, _ = execute(q, leaf, ctx_l)
             live = (leaf.live.copy() if leaf.live is not None
                     else np.ones(leaf.num_docs, dtype=bool))
@@ -85,16 +72,16 @@ def delete_by_query(index_dir: str, query: Query) -> dict:
                          "num_deleted": n_del})
         return pd.DataFrame(rows)
 
-    items = _leaf_items(index_dir, manifest)
+    items = mf.leaf_rows(index_dir, manifest)
     ds = ray.data.from_items(items, override_num_blocks=max(1, len(items)))
     marks = ds.map_batches(mark, batch_format="pandas", batch_size=2).to_pandas()
     marks = marks.set_index("leaf_ord")
 
-    leaves = _leaves(manifest)
+    seg_of = {s["dir"]: s for s in manifest["segments"]}
     new_segments = []
     total_deleted = 0
-    for i, l in enumerate(leaves):
-        e = dict(l)
+    for i, row in enumerate(items):
+        e = dict(seg_of[row["dir"]])
         rel = marks.loc[i, "deletes"]
         if rel is not None and not (isinstance(rel, float) and pd.isna(rel)):
             e["deletes"] = rel
@@ -221,14 +208,14 @@ def expunge_deletes(index_dir: str) -> dict:
 
         rows = []
         for row in batch.to_dict("records"):
-            if not row.get("deletes"):
+            if not row["deletes"]:
                 rows.append({"leaf_ord": int(row["leaf_ord"]),
                              "dir": row["dir"],
                              "num_docs": int(row["num_docs"]),
                              "sum_tf": -1, "fields_json": "{}"})
                 continue
             sd = os.path.join(index_dir, row["dir"])
-            live = np.load(os.path.join(index_dir, row["deletes"]))
+            live = np.load(row["deletes"])
             remap = np.cumsum(live) - 1  # old local id -> new local id
             out_terms, dfs, ttfs, blobs, pblobs, new_norms, sum_tf = (
                 rebuild_field(sd, "", live, remap))
@@ -250,21 +237,20 @@ def expunge_deletes(index_dir: str) -> dict:
                              {f: e[6] for f, e in extras.items()})})
         return pd.DataFrame(rows)
 
-    items = _leaf_items(index_dir, manifest)
-    ds = ray.data.from_items(items, override_num_blocks=max(1, len(items)))
+    ds = leaf_dataset(index_dir, manifest)
     rep = ds.map_batches(rebuild, batch_format="pandas", batch_size=1).to_pandas()
     rep = rep.sort_values("leaf_ord")
 
     import json as _json
 
-    old = {i: l for i, l in enumerate(_leaves(manifest))}
+    seg_of = {s["dir"]: s for s in manifest["segments"]}
     segments = []
     doc_base = 0
     sum_tf_total = 0
     field_tf: dict[str, int] = {}
     for r in rep.itertuples(index=False):
         if r.sum_tf < 0:  # untouched leaf
-            l = dict(old[r.leaf_ord])
+            l = dict(seg_of[r.dir])
             sm = mf.read_json(os.path.join(index_dir, l["dir"], mf.SEGMENT_MANIFEST))
             sum_tf_total += sm["sum_tf"]
             for fn, fm in sm.get("fields", {}).items():

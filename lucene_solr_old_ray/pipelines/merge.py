@@ -96,16 +96,17 @@ def merge_index(
     # never resurrect; physical reclaim is expunge_deletes' job)
     import numpy as np
 
-    by_dir = {s["dir"]: s for s in manifest["segments"]}
+    deletes_of = {r["dir"]: r["deletes"]
+                  for r in mf.leaf_rows(index_dir, manifest)}
     shard_deletes: dict[int, str] = {}
     for s in shards:
         segs = sorted(s["segments"], key=lambda x: x["seg_ord"])
-        if any(by_dir[g["dir"]].get("deletes") for g in segs):
+        if any(deletes_of[g["dir"]] for g in segs):
             parts = []
             for g in segs:
-                rel = by_dir[g["dir"]].get("deletes")
+                path = deletes_of[g["dir"]]
                 parts.append(
-                    np.load(os.path.join(index_dir, rel)) if rel
+                    np.load(path) if path
                     else np.ones(g["num_docs"], dtype=bool)
                 )
             live = np.concatenate(parts)

@@ -37,7 +37,6 @@ import pyarrow as pa
 
 from ..queries import Query, collect_terms
 from ..state import manifest as mf
-from .analytics import _leaf_items
 from .search import fetch_doc_meta, search
 
 DEFAULT_K1 = 1.2
@@ -224,7 +223,7 @@ def fetch_postings_offsets(
     import ray
     import ray.data
 
-    from .search import _open_leaf
+    from .search import leaf_dataset, open_leaf
 
     manifest = mf.read_index_manifest(index_dir)
     want = np.asarray(sorted(set(int(d) for d in docids)), dtype=np.int64)
@@ -241,7 +240,7 @@ def fetch_postings_offsets(
             if lo == hi:
                 continue
             local = want_l[lo:hi] - base
-            leaf = _open_leaf(index_dir, row)
+            leaf = open_leaf(index_dir, row)
             for t in terms_l:
                 d, tfs, _flat, starts, so, eo = leaf.postings_with_offsets(t)
                 if len(d) == 0:
@@ -259,8 +258,7 @@ def fetch_postings_offsets(
             "ends": pd.Series([r[4] for r in rows], dtype=object),
         })
 
-    items = _leaf_items(manifest)
-    ds = ray.data.from_items(items, override_num_blocks=max(1, len(items)))
+    ds = leaf_dataset(index_dir, manifest)
     out = ds.map_batches(leaf_fetch, batch_format="pandas",
                          batch_size=4).to_pandas()
     return pa.table({

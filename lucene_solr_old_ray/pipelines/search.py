@@ -16,6 +16,13 @@ Driver merge follows ``TopDocs.merge`` exactly (``search/TopDocs.java:82-118``):
 (score desc, leaf ord asc, per-leaf rank asc) — leaf ords ascend with docBase,
 so ties resolve identically to a single-reader search.
 
+The plan is a handful of functions that ``pipelines.serve`` runs too, over
+its actor pool instead of Ray Data: ``plan_queries`` (rewrite, stats
+exchange, top-level value sources), ``leaf_stats`` / ``sum_stats`` /
+``make_context`` (the exchange), ``score_leaves`` (per-leaf top-k rows) and
+``merge_top_docs``. Leaves are ``state.manifest.leaf_rows`` rows, opened with
+``open_leaf``.
+
 Scale notes: the shuffle-free design holds at 10^12 docs — queries and stats
 are broadcast (small), per-leaf top-k rows are k × leaves × queries (small);
 actors hold only term dictionaries in heap and fault postings pages on demand.
@@ -76,10 +83,6 @@ from ..stages.search import (
 from ..state import manifest as mf
 
 
-def _leaves(manifest: dict) -> list[dict]:
-    return sorted(manifest["segments"], key=lambda s: s["doc_base"])
-
-
 # worker-process-level open-leaf cache: segments/shards are IMMUTABLE
 # (published by atomic rename, never rewritten), so a loaded term dict +
 # memmaps stay valid for the life of the worker. Ray core reuses idle
@@ -90,9 +93,10 @@ def _leaves(manifest: dict) -> list[dict]:
 _WORKER_LEAVES: dict[tuple, LeafSearcher] = {}
 
 
-def _open_leaf(index_dir: str, row) -> LeafSearcher:
-    dp = row.get("deletes")
-    dpath = os.path.join(index_dir, dp) if dp else None
+def open_leaf(index_dir: str, row) -> LeafSearcher:
+    """The open searcher of one :func:`~..state.manifest.leaf_rows` row,
+    from this process's :data:`_WORKER_LEAVES` cache."""
+    dpath = row["deletes"]
     # inode+mtime of the term dict guard against a REBUILT index at the
     # same path (rmtree + rebuild recycles the directory name)
     st = os.stat(os.path.join(index_dir, row["dir"], "terms.parquet"))
@@ -113,90 +117,165 @@ def _open_leaf(index_dir: str, row) -> LeafSearcher:
     return ls
 
 
-class SearcherStage:
-    """Scoring stage over (leaf, query-chunk) descriptor rows — the work
-    fans out across BOTH leaves and query chunks, so parallelism is
-    leaves × ceil(nq / chunk) rather than bounded by shard count. Open
-    leaves come from the worker-level cache (:data:`_WORKER_LEAVES`)."""
+def leaf_dataset(index_dir: str, manifest: dict) -> ray.data.Dataset:
+    """The leaf rows as a Dataset with one block per leaf: the input of
+    every per-leaf ``map_batches`` pass."""
+    rows = mf.leaf_rows(index_dir, manifest)
+    return ray.data.from_items(rows, override_num_blocks=max(1, len(rows)))
 
-    def __init__(self, index_dir: str, queries_ref, ctx_ref, k: int,
-                 algo: str, deadline: float | None = None):
-        self.index_dir = index_dir
-        self.queries: list[tuple[int, Query]] = ray.get(queries_ref)
-        self.ctx: SearchContext = ray.get(ctx_ref)
-        self.k = k
-        self.algo = algo
-        self.deadline = deadline
 
-    def _leaf(self, row) -> LeafSearcher:
-        return _open_leaf(self.index_dir, row)
+def _leaf_groups(rows: list[dict], n: int = 8) -> list[list[dict]]:
+    """Round-robin leaf rows over at most ``n`` control-plane tasks."""
+    n = min(n, len(rows))
+    return [rows[i::n] for i in range(n)]
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        out = {
-            "qid": [], "leaf_ord": [], "rank": [], "docid": [],
-            "score": [], "hits": [],
-        }
-        timed_out = False
-        for row in batch.to_dict("records"):
-            if timed_out:
-                break
-            leaf = self._leaf(row)
-            q_lo, q_hi = int(row.get("q_lo", 0)), int(row.get("q_hi", len(self.queries)))
-            for qid, q in self.queries[q_lo:q_hi]:
-                if self.deadline is not None and _time.time() > self.deadline:
-                    # TimeLimitingCollector (search/TimeLimitingCollector
-                    # .java:33,160): stop collecting when the clock passes
-                    # the deadline, keep what was already collected. The
-                    # engine's collection unit is a (leaf x query) pass,
-                    # not a doc, so the abort is between units (the greedy
-                    # mode's keep-current-doc contract at this granularity)
-                    timed_out = True
-                    break
-                if self.algo == "wand":
-                    from ..stages.wand import execute_wand_or_fallback
 
-                    docids, scores, nhits = execute_wand_or_fallback(
-                        q, leaf, self.ctx, self.k
-                    )
-                else:
-                    docids, scores = execute(q, leaf, self.ctx)
-                    nhits = len(docids)
-                    docids, scores = top_k(docids, scores, self.k)
-                n = len(docids)
-                out["qid"].extend([qid] * n)
-                out["leaf_ord"].extend([leaf.ord] * n)
-                out["rank"].extend(range(n))
-                out["docid"].extend((docids + leaf.doc_base).tolist())
-                out["score"].extend(scores.tolist())
-                out["hits"].extend([nhits] * n)
-        if timed_out:
-            # sentinel row (qid -1): the driver folds these into the
-            # partial-results flag (TimeExceededException analogue)
-            out["qid"].append(-1)
-            out["leaf_ord"].append(-1)
-            out["rank"].append(-1)
-            out["docid"].append(-1)
-            out["score"].append(0.0)
-            out["hits"].append(0)
-        return pd.DataFrame(
-            {
-                "qid": pd.array(out["qid"], dtype="int64"),
-                "leaf_ord": pd.array(out["leaf_ord"], dtype="int32"),
-                "rank": pd.array(out["rank"], dtype="int32"),
-                "docid": pd.array(out["docid"], dtype="int64"),
-                "score": pd.array(out["score"], dtype="float32"),
-                "hits": pd.array(out["hits"], dtype="int64"),
-            }
-        )
+# per-leaf result rows: the scoring step's output and the merge's input
+_ROW_DTYPES = {"qid": np.int64, "leaf_ord": np.int32, "rank": np.int32,
+               "docid": np.int64, "score": np.float32, "hits": np.int64}
+
+
+def score_leaves(work, ctx: SearchContext, k: int, algo: str,
+                 deadline: float | None = None) -> dict[str, np.ndarray]:
+    """Per-leaf top-k rows for each ``(leaf, [(qid, query), ...])`` pair of
+    ``work``: columns qid, leaf_ord, rank (0-based), docid (global), score,
+    hits (the leaf's exact or lower-bound match count). The scoring step
+    of both ``search()`` and ``SearchService``.
+
+    With a ``deadline`` (TimeLimitingCollector, ``search/
+    TimeLimitingCollector.java:33,160``) collection stops when the clock
+    passes it and keeps what was already collected. The engine's
+    collection unit is a (leaf x query) pass, not a doc, so the abort lands
+    between units (the greedy mode's keep-current-doc contract at this
+    granularity) and one sentinel row with qid -1 marks it."""
+    out: dict[str, list] = {c: [] for c in _ROW_DTYPES}
+
+    def emit(qid, leaf_ord, docids, scores, hits):
+        n = len(docids)
+        out["qid"] += [qid] * n
+        out["leaf_ord"] += [leaf_ord] * n
+        out["rank"] += range(n)
+        out["docid"] += docids.tolist()
+        out["score"] += scores.tolist()
+        out["hits"] += [hits] * n
+
+    for leaf, qitems in work:
+        for qid, q in qitems:
+            if deadline is not None and _time.time() > deadline:
+                emit(-1, -1, np.array([-1]), np.array([0.0]), 0)
+                return _row_arrays(out)
+            if algo == "wand":
+                from ..stages.wand import execute_wand_or_fallback
+
+                docids, scores, nhits = execute_wand_or_fallback(
+                    q, leaf, ctx, k)
+            else:
+                docids, scores = execute(q, leaf, ctx)
+                nhits = len(docids)
+                docids, scores = top_k(docids, scores, k)
+            emit(qid, leaf.ord, docids.astype(np.int64) + leaf.doc_base,
+                 scores, int(nhits))
+    return _row_arrays(out)
+
+
+def _row_arrays(out: dict[str, list]) -> dict[str, np.ndarray]:
+    return {c: np.asarray(v, dtype=_ROW_DTYPES[c]) for c, v in out.items()}
+
+
+def merge_top_docs(parts, k: int) -> pa.Table:
+    """TopDocs.merge (``search/TopDocs.java:82-118``) over per-leaf row
+    batches (dicts of arrays or DataFrames from :func:`score_leaves`) ->
+    table (qid, rank [1-based], docid, score, total_hits). Order per qid is
+    (score desc, leaf ord asc, per-leaf rank asc): leaf ords ascend with
+    docBase, so ties resolve as in a single-reader search. total_hits sums
+    the per-leaf hits; time-limit sentinel rows (qid -1) are dropped."""
+    parts = [p for p in parts if "qid" in p]  # an empty Dataset is schema-less
+
+    def col(c):
+        return np.concatenate(
+            [np.asarray(p[c], dtype=_ROW_DTYPES[c]) for p in parts]
+            + [np.zeros(0, _ROW_DTYPES[c])])
+
+    qid, leaf_ord, rank, docid, score, hits = (col(c) for c in _ROW_DTYPES)
+    order = np.lexsort((rank, leaf_ord, -score, qid))
+    order = order[qid[order] >= 0]
+    qid, rank, docid, score, hits = (qid[order], rank[order], docid[order],
+                                     score[order], hits[order])
+    new_q = np.ones(len(qid), bool)  # first row of each qid
+    new_q[1:] = qid[1:] != qid[:-1]
+    grp = np.cumsum(new_q) - 1
+    pos = np.arange(len(qid)) - np.flatnonzero(new_q)[grp]
+    total = np.zeros(int(new_q.sum()), np.int64)
+    np.add.at(total, grp, np.where(rank == 0, hits, 0))  # one rank-0 row per leaf
+    keep = pos < k
+    return pa.table({
+        "qid": pa.array(qid[keep], pa.int64()),
+        "rank": pa.array((pos[keep] + 1).astype(np.int32), pa.int32()),
+        "docid": pa.array(docid[keep], pa.int64()),
+        "score": pa.array(score[keep], pa.float32()),
+        "total_hits": pa.array(total[grp[keep]], pa.int64()),
+    })
 
 
 def _score_rows(batch: "pd.DataFrame", *, index_dir: str, queries_ref,
                 ctx_ref, k: int, algo: str,
                 deadline: float | None = None) -> "pd.DataFrame":
-    """Task-pool entry: one scoring pass over a batch of (leaf, q-chunk)
-    descriptor rows (see :class:`SearcherStage`)."""
-    return SearcherStage(index_dir, queries_ref, ctx_ref, k, algo,
-                         deadline)(batch)
+    """Task-pool entry: one scoring pass over a batch of (leaf, query-chunk)
+    rows — the work fans out across BOTH leaves and query chunks, so
+    parallelism is leaves × ceil(nq / chunk) rather than bounded by shard
+    count. Open leaves come from the worker-level cache
+    (:data:`_WORKER_LEAVES`)."""
+    queries: list[tuple[int, Query]] = ray.get(queries_ref)
+    work = ((open_leaf(index_dir, row), queries[row["q_lo"]:row["q_hi"]])
+            for row in batch.to_dict("records"))
+    return pd.DataFrame(score_leaves(work, ray.get(ctx_ref), k, algo,
+                                     deadline))
+
+
+def leaf_stats(leaf: LeafSearcher, terms: Sequence[str],
+               field_terms: Sequence[tuple[str, str]] = ()) -> tuple[dict, dict]:
+    """One leaf's share of the stats exchange (``TermContext.build``):
+    term -> (df, ttf) for the default field, and field -> term -> (df, ttf)
+    for ``field_terms``."""
+    by_field: dict[str, list[str]] = {}
+    for f, t in field_terms:
+        by_field.setdefault(f, []).append(t)
+    return (collect_leaf_stats(leaf, terms),
+            {f: collect_leaf_stats(leaf.sibling(f), ts)
+             for f, ts in by_field.items()})
+
+
+def sum_stats(partials) -> tuple[dict, dict]:
+    """Roll :func:`leaf_stats` partials (or earlier roll-ups) up by summing
+    df and ttf per term."""
+    agg: dict[str, tuple[int, int]] = {}
+    fagg: dict[str, dict[str, tuple[int, int]]] = {}
+
+    def add(dst, src):
+        for t, (df, ttf) in src.items():
+            cur = dst.get(t, (0, 0))
+            dst[t] = (cur[0] + df, cur[1] + ttf)
+
+    for p, fp in partials:
+        add(agg, p)
+        for f, fstats in fp.items():
+            add(fagg.setdefault(f, {}), fstats)
+    return agg, fagg
+
+
+def make_context(manifest: dict, partials,
+                 similarity: str = "bm25") -> SearchContext:
+    """The broadcastable SearchContext: collection stats from the manifest
+    plus the rolled-up term stats of ``partials``."""
+    st = manifest["stats"]
+    coll = bm25.CollectionStats(st["max_doc"], st["sum_total_term_freq"])
+    field_colls = {
+        name: bm25.CollectionStats(st["max_doc"], fs["sum_total_term_freq"])
+        for name, fs in st.get("fields", {}).items()
+    }
+    agg, fagg = sum_stats(partials)
+    return SearchContext(coll, agg, similarity, field_colls=field_colls,
+                         field_term_stats=fagg)
 
 
 @ray.remote
@@ -204,25 +283,8 @@ def _leaf_stats_task(
     index_dir: str, rows: list[dict], terms: list[str],
     field_terms: list[tuple[str, str]] = (),
 ) -> tuple[dict, dict]:
-    out: dict[str, list[int]] = {}
-    fout: dict[str, dict[str, list[int]]] = {}
-    by_field: dict[str, list[str]] = {}
-    for f, t in field_terms:
-        by_field.setdefault(f, []).append(t)
-    for row in rows:
-        leaf = _open_leaf(index_dir, row)
-        for t, (df, ttf) in collect_leaf_stats(leaf, terms).items():
-            cur = out.setdefault(t, [0, 0])
-            cur[0] += df
-            cur[1] += ttf
-        for f, fts in by_field.items():
-            sib = leaf.sibling(f)
-            dst = fout.setdefault(f, {})
-            for t, (df, ttf) in collect_leaf_stats(sib, fts).items():
-                cur = dst.setdefault(t, [0, 0])
-                cur[0] += df
-                cur[1] += ttf
-    return out, fout
+    return sum_stats(leaf_stats(open_leaf(index_dir, row), terms, field_terms)
+                     for row in rows)
 
 
 @ray.remote
@@ -237,7 +299,7 @@ def _vs_toplevel_task(index_dir: str, rows: list[dict], scale_specs: list,
     maxs = [None] * len(scale_specs)
     dicts: dict[str, set] = {f: set() for f in ord_fields}
     for row in rows:
-        leaf = _open_leaf(index_dir, row)
+        leaf = open_leaf(index_dir, row)
         docs = np.arange(leaf.num_docs, dtype=np.int64)
         for i, src in enumerate(scale_specs):
             v = vsrc.evaluate(src, leaf, ctx, docs)
@@ -303,17 +365,10 @@ def _resolve_vs_toplevel(index_dir: str, manifest: dict, qitems, ctx):
         return qitems
 
     # 2) one control-plane pass over the leaves (gather_stats shape)
-    leaves = _leaves(manifest)
-    items = [
-        {"dir": l["dir"], "doc_base": l["doc_base"], "leaf_ord": i,
-         "num_docs": l["num_docs"]}
-        for i, l in enumerate(leaves)
-    ]
-    n_tasks = min(8, len(items))
-    groups = [items[i::n_tasks] for i in range(n_tasks)]
+    items = mf.leaf_rows(index_dir, manifest)
     parts = ray.get([
         _vs_toplevel_task.remote(index_dir, g, scale_specs, ord_fields, ctx)
-        for g in groups
+        for g in _leaf_groups(items)
     ])
     bounds: list = [(None, None)] * len(scale_specs)
     vals: dict[str, set] = {f: set() for f in ord_fields}
@@ -338,7 +393,7 @@ def _resolve_vs_toplevel(index_dir: str, manifest: dict, qitems, ctx):
             union = union_of[f]
             per_leaf = []
             for row in items:
-                leaf = _open_leaf(index_dir, row)
+                leaf = open_leaf(index_dir, row)
                 _o, lv = leaf.dv_sorted(f)
                 lv = np.array([str(x) for x in lv], dtype=object)
                 per_leaf.append(np.searchsorted(union, lv).astype(np.int64))
@@ -590,7 +645,7 @@ def expansion_to_bool(q, terms: dict[str, int]) -> BooleanQuery:
 def _leaf_expand_task(index_dir: str, rows: list[dict], mtqs: list) -> list[dict]:
     out: list[dict[str, int]] = [dict() for _ in mtqs]
     for row in rows:
-        leaf = _open_leaf(index_dir, row)
+        leaf = open_leaf(index_dir, row)
         for i, q in enumerate(mtqs):
             for t, ed in collect_mtq_terms(leaf, q).items():
                 cur = out[i].get(t)
@@ -619,16 +674,9 @@ def _expand_queries_globally(index_dir: str, manifest: dict,
                              mtqs: list) -> "list[dict[str, int]]":
     """Union {term: min edit distance} per MTQ across every leaf (the
     shared fan-out of rewrite_queries and fuzzy_like_this)."""
-    leaves = _leaves(manifest)
-    items = [
-        {"dir": l["dir"], "doc_base": l["doc_base"], "leaf_ord": i,
-         "num_docs": l["num_docs"]}
-        for i, l in enumerate(leaves)
-    ]
-    n_tasks = min(8, len(items))
-    groups = [items[i::n_tasks] for i in range(n_tasks)]
     partials = ray.get([
-        _leaf_expand_task.remote(index_dir, g, mtqs) for g in groups
+        _leaf_expand_task.remote(index_dir, g, mtqs)
+        for g in _leaf_groups(mf.leaf_rows(index_dir, manifest))
     ])
     union: list[dict[str, int]] = [dict() for _ in mtqs]
     for p in partials:
@@ -651,41 +699,38 @@ def gather_stats(
     it runs as plain Ray tasks rather than a Dataset execution — the Dataset
     machinery's fixed scheduling cost dwarfs the lookups themselves. The
     summed result is the ShardSearchingTestBase stats-exchange payload."""
-    st = manifest["stats"]
-    coll = bm25.CollectionStats(st["max_doc"], st["sum_total_term_freq"])
-    field_colls = {
-        name: bm25.CollectionStats(st["max_doc"], fs["sum_total_term_freq"])
-        for name, fs in st.get("fields", {}).items()
-    }
     terms = sorted(set(terms))
     field_terms = sorted(set(field_terms))
-    agg: dict[str, tuple[int, int]] = {}
-    fagg: dict[str, dict[str, tuple[int, int]]] = {}
+    partials = []
     if terms or field_terms:
-        leaves = _leaves(manifest)
-        items = [
-            {"dir": l["dir"], "doc_base": l["doc_base"], "leaf_ord": i,
-             "num_docs": l["num_docs"]}
-            for i, l in enumerate(leaves)
-        ]
-        n_tasks = min(8, len(items))
-        groups = [items[i::n_tasks] for i in range(n_tasks)]
         partials = ray.get([
-            _leaf_stats_task.remote(index_dir, g, list(terms),
-                                    list(field_terms))
-            for g in groups
+            _leaf_stats_task.remote(index_dir, g, terms, field_terms)
+            for g in _leaf_groups(mf.leaf_rows(index_dir, manifest))
         ])
-        for p, fp in partials:
-            for t, (df, ttf) in p.items():
-                cur = agg.get(t, (0, 0))
-                agg[t] = (cur[0] + df, cur[1] + ttf)
-            for f, fstats in fp.items():
-                dst = fagg.setdefault(f, {})
-                for t, (df, ttf) in fstats.items():
-                    cur = dst.get(t, (0, 0))
-                    dst[t] = (cur[0] + df, cur[1] + ttf)
-    return SearchContext(coll, dict(agg), similarity,
-                         field_colls=field_colls, field_term_stats=fagg)
+    return make_context(manifest, partials, similarity)
+
+
+def plan_queries(index_dir: str, manifest: dict,
+                 queries: Sequence[Query] | dict[int, Query],
+                 gather) -> tuple[list[tuple[int, Query]], SearchContext]:
+    """The plan every search runs before scoring, whatever its transport
+    (IndexSearcher.search: rewrite, then weights from collection stats):
+    scoring-MultiTermQuery rewrite, CommonTermsQuery rewrite, the stats
+    exchange ``gather(terms, field_terms) -> SearchContext``, then
+    top-level value-source resolution. -> (qid-sorted items, context)."""
+    if not isinstance(queries, dict):
+        queries = dict(enumerate(queries))
+    qitems = sorted(queries.items())
+    if any(needs_rewrite(q) for _, q in qitems):
+        qitems = rewrite_queries(index_dir, manifest, qitems)
+    qitems = rewrite_common_terms(index_dir, manifest, qitems)
+    terms: set[str] = set()
+    fterms: set[tuple[str, str]] = set()
+    for _, q in qitems:
+        terms |= collect_terms(q)
+        fterms |= collect_field_terms(q)
+    ctx = gather(sorted(terms), sorted(fterms))
+    return _resolve_vs_toplevel(index_dir, manifest, qitems, ctx), ctx
 
 
 def search(
@@ -709,33 +754,19 @@ def search(
     (leaf x query) pass, so the abort lands between units — the greedy
     mode's keep-current-work contract at this granularity."""
     manifest = mf.read_index_manifest(index_dir)
-    if not isinstance(queries, dict):
-        queries = dict(enumerate(queries))
-    qitems = sorted(queries.items())
-    if any(needs_rewrite(q) for _, q in qitems):
-        qitems = rewrite_queries(index_dir, manifest, qitems)
-    qitems = rewrite_common_terms(index_dir, manifest, qitems)
-
-    all_terms: set[str] = set()
-    all_fterms: set[tuple[str, str]] = set()
-    for _, q in qitems:
-        all_terms |= collect_terms(q)
-        all_fterms |= collect_field_terms(q)
-    ctx = gather_stats(index_dir, manifest, sorted(all_terms), similarity,
-                       field_terms=sorted(all_fterms))
-    qitems = _resolve_vs_toplevel(index_dir, manifest, qitems, ctx)
+    qitems, ctx = plan_queries(
+        index_dir, manifest, queries,
+        lambda t, f: gather_stats(index_dir, manifest, t, similarity,
+                                  field_terms=f))
     if similarity != "bm25":
         algo = "exhaustive"  # WAND bounds are BM25-specific
 
-    leaves = _leaves(manifest)
     # fan out over (leaf × query-chunk) so few-shard indexes still parallelize
     n_chunks = max(1, min(len(qitems) // 8, 16))
     bounds = np.linspace(0, len(qitems), n_chunks + 1).astype(int)
     items = [
-        {"dir": l["dir"], "doc_base": l["doc_base"], "leaf_ord": i,
-         "num_docs": l["num_docs"], "deletes": l.get("deletes"),
-         "q_lo": int(bounds[c]), "q_hi": int(bounds[c + 1])}
-        for i, l in enumerate(leaves)
+        {**row, "q_lo": int(bounds[c]), "q_hi": int(bounds[c + 1])}
+        for row in mf.leaf_rows(index_dir, manifest)
         for c in range(n_chunks)
     ]
     ds = ray.data.from_items(items, override_num_blocks=max(1, len(items)))
@@ -758,46 +789,9 @@ def search(
         batch_size=1,
         concurrency=concurrency,
     ).to_pandas()  # k × leaves × queries rows — small
-    if "qid" not in rows.columns:  # zero matches anywhere: schema-less empty df
-        rows = pd.DataFrame({"qid": pd.Series([], dtype="int64"),
-                             "leaf_ord": pd.Series([], dtype="int32"),
-                             "rank": pd.Series([], dtype="int32"),
-                             "docid": pd.Series([], dtype="int64"),
-                             "score": pd.Series([], dtype="float32"),
-                             "hits": pd.Series([], dtype="int64")})
-
-    timed_out = bool((rows["qid"] == -1).any())
-    if timed_out:
-        rows = rows[rows["qid"] >= 0]
-
-    # TopDocs.merge: (score desc, leaf ord asc, per-leaf rank asc) — group
-    # the result frame ONCE (O(rows log rows)), not a per-qid scan
-    out = {
-        "qid": [], "rank": [], "docid": [], "score": [], "total_hits": [],
-    }
-    for qid, sub in rows.groupby("qid", sort=True):
-        hits = int(sub.drop_duplicates("leaf_ord")["hits"].sum())
-        order = np.lexsort(
-            (sub["rank"].to_numpy(), sub["leaf_ord"].to_numpy(),
-             -sub["score"].to_numpy(np.float32))
-        )[:k]
-        sel = sub.iloc[order]
-        n = len(sel)
-        out["qid"].extend([int(qid)] * n)
-        out["rank"].extend(range(1, n + 1))
-        out["docid"].extend(sel["docid"].tolist())
-        out["score"].extend(sel["score"].tolist())
-        out["total_hits"].extend([hits] * n)
-    tbl = pa.table(
-        {
-            "qid": pa.array(out["qid"], pa.int64()),
-            "rank": pa.array(out["rank"], pa.int32()),
-            "docid": pa.array(out["docid"], pa.int64()),
-            "score": pa.array(np.asarray(out["score"], dtype=np.float32), pa.float32()),
-            "total_hits": pa.array(out["total_hits"], pa.int64()),
-        }
-    )
+    tbl = merge_top_docs([rows], k)
     if time_limit_s is not None:
+        timed_out = "qid" in rows and bool((rows["qid"] == -1).any())
         tbl = tbl.append_column(
             "timed_out", pa.array([timed_out] * tbl.num_rows, pa.bool_()))
     return tbl
@@ -806,8 +800,7 @@ def search(
 def fetch_doc_meta(index_dir: str, docids: Sequence[int]) -> pa.Table:
     """Stored-fields retrieval for a (small) set of global docIDs: read only
     the leaves that contain them, take local rows."""
-    manifest = mf.read_index_manifest(index_dir)
-    leaves = _leaves(manifest)
+    leaves = mf.leaf_rows(index_dir, mf.read_index_manifest(index_dir))
     bases = np.array([l["doc_base"] for l in leaves], dtype=np.int64)
     ids = np.asarray(sorted(set(int(d) for d in docids)), dtype=np.int64)
     leaf_idx = np.searchsorted(bases, ids, side="right") - 1
@@ -841,9 +834,8 @@ def _rtg_leaf_task(index_dir: str, leaves: list[dict], ids: list,
         keys = pq.read_table(path, columns=[key_field])[key_field]
         local = np.flatnonzero(pc.is_in(
             keys, pa.array(ids, keys.type)).to_numpy(zero_copy_only=False))
-        dp = l.get("deletes")
-        if dp is not None:
-            live = np.load(os.path.join(index_dir, dp))
+        if l["deletes"]:
+            live = np.load(l["deletes"])
             keep = live[local]
             t, local = t.filter(pa.array(keep)), local[keep]
         if t.num_rows:
@@ -874,16 +866,11 @@ def real_time_get(
     driver reduce. Returns rows in REQUESTED id order (the /get response
     contract); missing or deleted ids simply don't appear.
     """
-    manifest = mf.read_index_manifest(index_dir)
-    leaves = _leaves(manifest)
+    leaves = mf.leaf_rows(index_dir, mf.read_index_manifest(index_dir))
     req = list(dict.fromkeys(ids))
-    items = [{"dir": l["dir"], "doc_base": l["doc_base"],
-              "deletes": l.get("deletes")} for l in leaves]
-    n_tasks = min(8, len(items))
-    groups = [items[i::n_tasks] for i in range(n_tasks)]
     parts = [t for t in ray.get([
         _rtg_leaf_task.remote(index_dir, g, req, key_field)
-        for g in groups]) if t is not None]
+        for g in _leaf_groups(leaves)]) if t is not None]
     if not parts:
         return pa.table({key_field: pa.array([]),
                          "docid": pa.array([], pa.int64())})
@@ -913,8 +900,7 @@ def fetch_term_vectors(index_dir: str, docids: Sequence[int]) -> pa.Table:
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
-    manifest = mf.read_index_manifest(index_dir)
-    leaves = _leaves(manifest)
+    leaves = mf.leaf_rows(index_dir, mf.read_index_manifest(index_dir))
     bases = np.array([l["doc_base"] for l in leaves], dtype=np.int64)
     ids = np.asarray(sorted(set(int(d) for d in docids)), dtype=np.int64)
     leaf_idx = np.searchsorted(bases, ids, side="right") - 1

@@ -9,23 +9,26 @@ module drops to raw Ray actors as the documented exception: one
 times (the architecture the north star names: "query serving is a stateful
 actor-pool stage holding memory-mapped segment shards").
 
-Identical results to ``pipelines.search.search`` (same executors, same
-TopDocs.merge), verified in tests.
+Only the transport differs from ``pipelines.search.search``: both run the
+same plan functions from that module. ``plan_queries`` rewrites the queries,
+runs the stats exchange (here one ``SearcherActor.stats`` round trip, each
+actor folding ``leaf_stats`` with ``sum_stats``; ``make_context`` rolls the
+partials up) and resolves top-level value sources; each actor scores its
+leaves with ``score_leaves``; ``merge_top_docs`` is the TopDocs.merge.
+Leaves are the ``state.manifest.leaf_rows`` view, opened with ``open_leaf``.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray
 
-from ..functions import bm25
-from ..queries import Query, collect_field_terms, collect_terms
-from ..stages.search import LeafSearcher, SearchContext, collect_leaf_stats, execute, top_k
+from ..queries import Query
+from ..stages.search import SearchContext
 from ..state import manifest as mf
+from .search import (_leaf_groups, leaf_stats, make_context, merge_top_docs,
+                     open_leaf, plan_queries, score_leaves, sum_stats)
 
 
 @ray.remote
@@ -33,54 +36,17 @@ class SearcherActor:
     """Holds a group of leaves open (term dict in RAM, postings mmap'd)."""
 
     def __init__(self, index_dir: str, leaves: list[dict]):
-        self.leaves = [
-            LeafSearcher(
-                os.path.join(index_dir, l["dir"]), int(l["doc_base"]),
-                int(l["leaf_ord"]), int(l["num_docs"]),
-                deletes_path=(os.path.join(index_dir, l["deletes"])
-                              if l.get("deletes") else None))
-            for l in leaves
-        ]
+        self.leaves = [open_leaf(index_dir, row) for row in leaves]
 
     def stats(self, terms: list[str],
               field_terms: list[tuple[str, str]] = ()) -> tuple[dict, dict]:
-        agg: dict[str, list[int]] = {}
-        fagg: dict[str, dict[str, list[int]]] = {}
-        by_field: dict[str, list[str]] = {}
-        for f, t in field_terms:
-            by_field.setdefault(f, []).append(t)
-        for leaf in self.leaves:
-            for t, (df, ttf) in collect_leaf_stats(leaf, terms).items():
-                cur = agg.setdefault(t, [0, 0])
-                cur[0] += df
-                cur[1] += ttf
-            for f, fts in by_field.items():
-                dst = fagg.setdefault(f, {})
-                for t, (df, ttf) in collect_leaf_stats(leaf.sibling(f), fts).items():
-                    cur = dst.setdefault(t, [0, 0])
-                    cur[0] += df
-                    cur[1] += ttf
-        return agg, fagg
+        return sum_stats(leaf_stats(leaf, terms, field_terms)
+                         for leaf in self.leaves)
 
     def search(self, queries: list[tuple[int, Query]], ctx: SearchContext,
-               k: int, algo: str) -> pd.DataFrame:
-        out = []
-        for leaf in self.leaves:
-            for qid, q in queries:
-                if algo == "wand":
-                    from ..stages.wand import execute_wand_or_fallback
-
-                    d, s, nh = execute_wand_or_fallback(q, leaf, ctx, k)
-                else:
-                    d0, s0 = execute(q, leaf, ctx)
-                    nh = len(d0)
-                    d, s = top_k(d0, s0, k)
-                for r in range(len(d)):
-                    out.append((qid, leaf.ord, r, int(d[r]) + leaf.doc_base,
-                                float(s[r]), nh))
-        return pd.DataFrame(
-            out, columns=["qid", "leaf_ord", "rank", "docid", "score", "hits"]
-        )
+               k: int, algo: str) -> dict[str, np.ndarray]:
+        return score_leaves(((leaf, queries) for leaf in self.leaves),
+                            ctx, k, algo)
 
 
 class SearchService:
@@ -92,83 +58,27 @@ class SearchService:
     deletes, merges) — the refresh/reopen analogue."""
 
     def __init__(self, index_dir: str, num_actors: int = 8, algo: str = "wand"):
-        manifest = mf.read_index_manifest(index_dir)
         self.index_dir = index_dir
-        self.manifest = manifest
-        st = manifest["stats"]
-        self.coll = bm25.CollectionStats(st["max_doc"], st["sum_total_term_freq"])
-        self.field_colls = {
-            name: bm25.CollectionStats(st["max_doc"], fs["sum_total_term_freq"])
-            for name, fs in st.get("fields", {}).items()
-        }
-        leaves = sorted(manifest["segments"], key=lambda s: s["doc_base"])
-        items = [
-            {"dir": l["dir"], "doc_base": l["doc_base"], "leaf_ord": i,
-             "num_docs": l["num_docs"], "deletes": l.get("deletes")}
-            for i, l in enumerate(leaves)
-        ]
-        n = min(num_actors, len(items))
-        groups = [items[i::n] for i in range(n)]
-        self.actors = [SearcherActor.remote(index_dir, g) for g in groups]
+        self.manifest = mf.read_index_manifest(index_dir)
+        self.actors = [
+            SearcherActor.remote(index_dir, group) for group in
+            _leaf_groups(mf.leaf_rows(index_dir, self.manifest), num_actors)]
         self.algo = algo
         # warm: force actor construction (mmap + term dict load)
         ray.get([a.stats.remote([]) for a in self.actors])
 
+    def _gather(self, terms: list[str],
+                field_terms: list[tuple[str, str]]) -> SearchContext:
+        """The stats exchange: one round trip to every actor."""
+        return make_context(self.manifest, ray.get(
+            [a.stats.remote(terms, field_terms) for a in self.actors]))
+
     def query(self, queries: dict[int, Query] | list[Query], k: int = 10) -> pa.Table:
-        if not isinstance(queries, dict):
-            queries = dict(enumerate(queries))
-        qitems = sorted(queries.items())
-        from ..queries import needs_rewrite
-
-        if any(needs_rewrite(q) for _, q in qitems):
-            # scoring MultiTermQueries expand against the point-in-time
-            # manifest (one extra leaf fan-out before the scoring pass)
-            from .search import rewrite_queries
-
-            qitems = rewrite_queries(self.index_dir, self.manifest, qitems)
-        from .search import rewrite_common_terms
-
-        qitems = rewrite_common_terms(self.index_dir, self.manifest, qitems)
-        terms = sorted(set().union(*[collect_terms(q) for _, q in qitems]) if qitems else set())
-        fterms = sorted(set().union(
-            *[collect_field_terms(q) for _, q in qitems]) if qitems else set())
-        # stats exchange (one round trip), then broadcast scoring pass
-        partials = ray.get([a.stats.remote(terms, fterms) for a in self.actors])
-        agg: dict[str, tuple[int, int]] = {}
-        fagg: dict[str, dict[str, tuple[int, int]]] = {}
-        for p, fp in partials:
-            for t, (df, ttf) in p.items():
-                cur = agg.get(t, (0, 0))
-                agg[t] = (cur[0] + df, cur[1] + ttf)
-            for f, fstats in fp.items():
-                dst = fagg.setdefault(f, {})
-                for t, (df, ttf) in fstats.items():
-                    cur = dst.get(t, (0, 0))
-                    dst[t] = (cur[0] + df, cur[1] + ttf)
-        ctx = SearchContext(self.coll, agg, field_colls=self.field_colls,
-                            field_term_stats=fagg)
-        frames = ray.get([
+        qitems, ctx = plan_queries(self.index_dir, self.manifest, queries,
+                                   self._gather)
+        return merge_top_docs(ray.get([
             a.search.remote(qitems, ctx, k, self.algo) for a in self.actors
-        ])
-        rows = pd.concat(frames, ignore_index=True)
-        out = {"qid": [], "rank": [], "docid": [], "score": [], "total_hits": []}
-        for qid, sub in rows.groupby("qid", sort=True):
-            hits = int(sub.drop_duplicates("leaf_ord")["hits"].sum())
-            order = np.lexsort((sub["rank"].to_numpy(), sub["leaf_ord"].to_numpy(),
-                                -sub["score"].to_numpy(np.float32)))[:k]
-            sel = sub.iloc[order]
-            out["qid"].extend([qid] * len(sel))
-            out["rank"].extend(range(1, len(sel) + 1))
-            out["docid"].extend(sel["docid"].tolist())
-            out["score"].extend(sel["score"].tolist())
-            out["total_hits"].extend([hits] * len(sel))
-        return pa.table({
-            "qid": pa.array(out["qid"], pa.int64()),
-            "rank": pa.array(out["rank"], pa.int32()),
-            "docid": pa.array(out["docid"], pa.int64()),
-            "score": pa.array(np.asarray(out["score"], dtype=np.float32)),
-            "total_hits": pa.array(out["total_hits"], pa.int64()),
-        })
+        ]), k)
 
     def shutdown(self):
         for a in self.actors:

@@ -39,8 +39,7 @@ import ray.data
 
 from ..queries import Query, collect_field_terms, collect_terms
 from ..state import manifest as mf
-from .analytics import _leaf_items
-from .search import _open_leaf, gather_stats
+from .search import gather_stats, leaf_dataset, open_leaf
 from ..stages.search import execute
 
 
@@ -71,7 +70,7 @@ def field_stats(
         ctx_l = ray.get(ctx_ref)
         frames = []
         for row in batch.to_dict("records"):
-            leaf = _open_leaf(index_dir, row)
+            leaf = open_leaf(index_dir, row)
             docids, _ = execute(q, leaf, ctx_l)
             if len(docids) == 0:
                 continue
@@ -111,8 +110,7 @@ def field_stats(
                 "mx": pd.Series([], dtype=np.int64)})
         return pd.concat(frames, ignore_index=True)
 
-    items = _leaf_items(manifest)
-    ds = ray.data.from_items(items, override_num_blocks=max(1, len(items)))
+    ds = leaf_dataset(index_dir, manifest)
     partials = ds.map_batches(leaf_stats, batch_format="pandas",
                               batch_size=4).to_pandas()
     if len(partials) == 0:
@@ -180,7 +178,7 @@ def pivot_facets(
         ctx_l = ray.get(ctx_ref)
         frames = []
         for row in batch.to_dict("records"):
-            leaf = _open_leaf(index_dir, row)
+            leaf = open_leaf(index_dir, row)
             docids, _ = execute(q, leaf, ctx_l)
             if len(docids) == 0:
                 continue
@@ -195,8 +193,7 @@ def pivot_facets(
                                  "count": pd.Series([], dtype=np.int64)})
         return pd.concat(frames, ignore_index=True)
 
-    items = _leaf_items(manifest)
-    ds = ray.data.from_items(items, override_num_blocks=max(1, len(items)))
+    ds = leaf_dataset(index_dir, manifest)
     partials = ds.map_batches(leaf_counts, batch_format="pandas",
                               batch_size=4).to_pandas()
     if len(partials) == 0:
@@ -404,19 +401,13 @@ def luke_index_info(index_dir: str) -> dict:
     analogue and the index root as ``directory``. Driver-only footer reads
     (manifest JSON + per-leaf liveDocs bitmaps); no data files open.
     """
-    import os
-
     man = mf.read_index_manifest(index_dir)
-    leaves = _leaf_items(man)
-    max_doc = int(sum(l["num_docs"] for l in leaves))
-    deleted = 0
-    for l in leaves:
-        if l.get("deletes"):
-            live = np.load(os.path.join(l["deletes"]) if os.path.isabs(
-                l["deletes"]) else l["deletes"])
-            deleted += int(l["num_docs"] - int(live.sum()))
+    leaves = mf.leaf_rows(index_dir, man)
+    max_doc = sum(l["num_docs"] for l in leaves)
+    num_docs = sum(mf.live_docs(l) for l in leaves)
+    deleted = max_doc - num_docs
     return {
-        "numDocs": max_doc - deleted,
+        "numDocs": num_docs,
         "maxDoc": max_doc,
         "deletedDocs": deleted,
         "segmentCount": len(leaves),

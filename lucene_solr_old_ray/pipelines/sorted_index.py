@@ -39,9 +39,9 @@ from ..queries import (
     collect_terms,
 )
 from ..sources.corpus import CorpusSpec
-from ..stages.search import LeafSearcher, execute
+from ..stages.search import execute
 from ..state import manifest as mf
-from .search import _leaves, gather_stats
+from .search import gather_stats, open_leaf
 
 
 def build_sorted_index(
@@ -104,25 +104,14 @@ def early_terminating_sorted_topk(
                        field_terms=sorted(collect_field_terms(query)))
     ctx_ref = ray.put(ctx)
     q_ref = ray.put(query)
-    leaves = _leaves(manifest)
-    items = [
-        {"dir": l["dir"], "doc_base": l["doc_base"], "leaf_ord": i,
-         "num_docs": l["num_docs"], "deletes": l.get("deletes")}
-        for i, l in enumerate(leaves)
-    ]
+    items = mf.leaf_rows(index_dir, manifest)
 
     def leaf_topk(batch: pd.DataFrame) -> pd.DataFrame:
         q = ray.get(q_ref)
         ctx_l = ray.get(ctx_ref)
         rows = []
         for row in batch.to_dict("records"):
-            leaf = LeafSearcher(
-                os.path.join(index_dir, row["dir"]),
-                int(row["doc_base"]), int(row["leaf_ord"]),
-                int(row["num_docs"]),
-                deletes_path=(os.path.join(index_dir, row["deletes"])
-                              if row.get("deletes") else None),
-            )
+            leaf = open_leaf(index_dir, row)
             # docID order IS sort order inside a sorted segment: keep the
             # first k matches and STOP — the early-termination contract.
             # Match-all never runs a scorer at all: the first k live docs

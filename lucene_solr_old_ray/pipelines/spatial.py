@@ -35,8 +35,7 @@ from ..queries import (
     Query,
 )
 from ..state import manifest as mf
-from .analytics import _leaf_items
-from .search import _open_leaf
+from .search import leaf_dataset, open_leaf
 
 EARTH_RADIUS_M = 6_371_008.7714  # spatial4j DistanceUtils.EARTH_MEAN_RADIUS
 
@@ -110,7 +109,7 @@ def distance_topk(
         ctx_l = ray.get(ctx_ref)
         parts = []
         for row in batch.to_dict("records"):
-            leaf = _open_leaf(index_dir, row)
+            leaf = open_leaf(index_dir, row)
             if q is not None:
                 docids, _ = execute(q, leaf, ctx_l)
             else:
@@ -145,8 +144,7 @@ def distance_topk(
                                  "y": pd.Series([], dtype="int64")})
         return pd.concat(parts, ignore_index=True)
 
-    items = _leaf_items(manifest)
-    ds = ray.data.from_items(items, override_num_blocks=max(1, len(items)))
+    ds = leaf_dataset(index_dir, manifest)
     partials = ds.map_batches(leaf_topk, batch_format="pandas",
                               batch_size=4).to_pandas()
     if len(partials) == 0 or "docid" not in partials.columns:
@@ -266,7 +264,7 @@ def _verify_shape(index_dir: str, xfield: str, yfield: str, cand_query,
         verify_l = ray.get(v_ref)
         parts = []
         for row in batch.to_dict("records"):
-            leaf = _open_leaf(index_dir, row)
+            leaf = open_leaf(index_dir, row)
             if q is not None:
                 docids, _ = execute(q, leaf, ctx_l)
             else:
@@ -291,8 +289,7 @@ def _verify_shape(index_dir: str, xfield: str, yfield: str, cand_query,
             return pd.DataFrame({"docid": pd.Series([], dtype="int64")})
         return pd.concat(parts, ignore_index=True)
 
-    items = _leaf_items(manifest)
-    ds = ray.data.from_items(items, override_num_blocks=max(1, len(items)))
+    ds = leaf_dataset(index_dir, manifest)
     out = ds.map_batches(leaf_verify, batch_format="pandas",
                          batch_size=4).to_pandas()
     if "docid" not in out.columns:

@@ -29,9 +29,9 @@ import ray
 import ray.data
 
 from ..queries import Query, collect_field_terms, collect_terms
-from ..stages.search import LeafSearcher, execute
+from ..stages.search import execute
 from ..state import manifest as mf
-from .search import _leaves, gather_stats
+from .search import gather_stats, open_leaf
 
 
 def _seg_stats(seg_abs_dir: str) -> tuple[int, dict[str, int]]:
@@ -57,7 +57,8 @@ def split_segments(index_dir: str, dest_dir: str,
     named segment dirs (relative names as listed in the source manifest).
     Segments are referenced in place — no file copies."""
     man = mf.read_index_manifest(index_dir)
-    chosen = [s for s in man["segments"] if s["dir"] in set(segment_dirs)]
+    chosen = [r for r in mf.leaf_rows(index_dir, man)
+              if r["dir"] in set(segment_dirs)]
     if len(chosen) != len(set(segment_dirs)):
         have = {s["dir"] for s in man["segments"]}
         raise ValueError(
@@ -67,7 +68,7 @@ def split_segments(index_dir: str, dest_dir: str,
     doc_base = 0
     sum_tf = 0
     field_tf: dict[str, int] = {}
-    for part, s in enumerate(sorted(chosen, key=lambda x: x["doc_base"])):
+    for part, s in enumerate(chosen):
         seg_abs = os.path.abspath(os.path.join(index_dir, s["dir"]))
         st, fst = _seg_stats(seg_abs)
         sum_tf += st
@@ -75,10 +76,9 @@ def split_segments(index_dir: str, dest_dir: str,
             field_tf[f] = field_tf.get(f, 0) + v
         entry = {"dir": seg_abs, "part_id": part, "doc_base": doc_base,
                  "num_docs": s["num_docs"]}
-        if s.get("deletes"):
-            entry["deletes"] = os.path.abspath(
-                os.path.join(index_dir, s["deletes"]))
-            entry["num_deleted"] = s.get("num_deleted", 0)
+        if s["deletes"]:
+            entry["deletes"] = s["deletes"]
+            entry["num_deleted"] = s["num_docs"] - mf.live_docs(s)
         segments.append(entry)
         doc_base += s["num_docs"]
     manifest = {
@@ -125,7 +125,7 @@ def _publish_with_masks(index_dir: str, out_dir: str, man: dict,
     from .deletes import expunge_deletes
 
     os.makedirs(os.path.join(out_dir, "deletes", "g1"), exist_ok=True)
-    leaves = sorted(_leaves(man), key=lambda s: s["doc_base"])
+    leaves = mf.leaf_rows(index_dir, man)
     jobs = [
         _write_mask.remote(out_dir, i, l["doc_base"], l["num_docs"], *spec)
         for i, (l, spec) in enumerate(zip(leaves, mask_specs))
@@ -159,7 +159,7 @@ def multi_pass_split(index_dir: str, out_dirs: list[str],
     if len(out_dirs) < 2:
         raise ValueError("need at least two outputs")
     man = mf.read_index_manifest(index_dir)
-    leaves = sorted(_leaves(man), key=lambda s: s["doc_base"])
+    leaves = mf.leaf_rows(index_dir, man)
     max_doc = sum(l["num_docs"] for l in leaves)
     if max_doc < 2:
         raise ValueError("not enough documents for splitting")
@@ -183,29 +183,18 @@ def pk_split(index_dir: str, query: Query, out_matching: str,
     """PKIndexSplitter analogue: docs matching ``query`` -> first index,
     the rest -> second; existing tombstones respected in both."""
     man = mf.read_index_manifest(index_dir)
-    leaves = sorted(_leaves(man), key=lambda s: s["doc_base"])
+    items = mf.leaf_rows(index_dir, man)
     ctx = gather_stats(index_dir, man, sorted(collect_terms(query)),
                        field_terms=sorted(collect_field_terms(query)))
     ctx_ref = ray.put(ctx)
     q_ref = ray.put(query)
-    items = [
-        {"dir": l["dir"], "doc_base": l["doc_base"], "leaf_ord": i,
-         "num_docs": l["num_docs"], "deletes": l.get("deletes")}
-        for i, l in enumerate(leaves)
-    ]
 
     def mark(batch: pd.DataFrame) -> pd.DataFrame:
         q = ray.get(q_ref)
         ctx_l = ray.get(ctx_ref)
         rows = []
         for row in batch.to_dict("records"):
-            leaf = LeafSearcher(
-                os.path.join(index_dir, row["dir"]),
-                int(row["doc_base"]), int(row["leaf_ord"]),
-                int(row["num_docs"]),
-                deletes_path=(os.path.join(index_dir, row["deletes"])
-                              if row.get("deletes") else None),
-            )
+            leaf = open_leaf(index_dir, row)
             docids, _ = execute(q, leaf, ctx_l)
             match = np.zeros(leaf.num_docs, dtype=bool)
             match[docids] = True
@@ -221,9 +210,9 @@ def pk_split(index_dir: str, query: Query, out_matching: str,
     marks = (ds.map_batches(mark, batch_format="pandas", batch_size=2)
              .to_pandas().set_index("leaf_ord").sort_index())
     match_specs = [("explicit", 0, 0, 0, 0, marks.loc[i, "match"])
-                   for i in range(len(leaves))]
+                   for i in range(len(items))]
     rest_specs = [("explicit", 0, 0, 0, 0, marks.loc[i, "rest"])
-                  for i in range(len(leaves))]
+                  for i in range(len(items))]
     a = _publish_with_masks(index_dir, out_matching, man, match_specs,
                             "pk_split")
     b = _publish_with_masks(index_dir, out_rest, man, rest_specs,

@@ -201,12 +201,6 @@ edf AS (
 )"""
 
 
-def english_term_stats_sql() -> str:
-    return (f"WITH {base_ctes()},{english_ctes()} "
-            "SELECT term, df AS df, CAST(ttf AS BIGINT) AS ttf "
-            "FROM edf ORDER BY term")
-
-
 def suggest_sql(prefixes: list[str], k: int = 5) -> str:
     """Completion-suggester oracle: top-k index terms under each prefix
     ordered by (weight=ttf desc, term asc) -> (query, rank, suggestion,
@@ -242,13 +236,6 @@ SELECT CAST(rank AS BIGINT) AS rank, doc_id, score FROM (
         JOIN doccache dc ON dc.doc_id = t.doc_id
         WHERE t.term = '{term}')
 ) WHERE rank <= {k} ORDER BY rank"""
-
-
-def regexp_hits_sql(pattern: str) -> str:
-    """Constant-score regexp docID set -> (doc_id) sorted (RegexpQuery)."""
-    return (f"WITH {base_ctes()} SELECT doc_id FROM ("
-            f"SELECT DISTINCT doc_id FROM toks "
-            f"WHERE regexp_full_match(term, '{pattern}')) ORDER BY doc_id")
 
 
 def fuzzy_scored_sql(term: str, max_edits: int = 2, k: int = 10) -> str:
@@ -558,43 +545,6 @@ SELECT CAST(rank AS BIGINT) AS rank, doc_id, score FROM (
 ORDER BY rank"""
 
 
-def hits_sql(
-    musts: list[str] = (),
-    must_nots: list[str] = (),
-    prefix: str | None = None,
-    term_range: tuple[str | None, str | None] | None = None,
-    like: str | None = None,
-) -> str:
-    """DocID-set query -> (doc_id) sorted; constant-score semantics."""
-    ctes = [base_ctes()]
-    sets = []
-    for t in musts:
-        sets.append(f"SELECT DISTINCT doc_id FROM toks WHERE term = '{t}'")
-    if prefix is not None:
-        esc = prefix.replace("%", "\\%").replace("_", "\\_")
-        sets.append(
-            f"SELECT DISTINCT doc_id FROM toks WHERE term LIKE '{esc}%' ESCAPE '\\'"
-        )
-    if like is not None:
-        sets.append(f"SELECT DISTINCT doc_id FROM toks WHERE term LIKE '{like}'")
-    if term_range is not None:
-        lo, hi = term_range
-        conds = []
-        if lo is not None:
-            conds.append(f"term >= '{lo}'")
-        if hi is not None:
-            conds.append(f"term < '{hi}'")
-        sets.append(
-            f"SELECT DISTINCT doc_id FROM toks WHERE {' AND '.join(conds)}"
-        )
-    if not sets:
-        raise ValueError("need at least one positive clause")
-    q = " INTERSECT ".join(f"({s})" for s in sets)
-    for t in must_nots:
-        q = f"({q}) EXCEPT (SELECT DISTINCT doc_id FROM toks WHERE term = '{t}')"
-    return f"WITH {','.join(ctes)} SELECT doc_id FROM ({q}) ORDER BY doc_id"
-
-
 def dismax_sql(terms: list[str], tie: float, k: int = 10) -> str:
     """DisjunctionMax oracle -> (rank, doc_id, score)."""
     ctes = [base_ctes()]
@@ -625,34 +575,6 @@ def classic_norm_values() -> str:
         f"({b},{repr(float(np.float32(CLASSIC_NORM_TABLE[b])))})"
         for b in range(1, 256)
     )
-
-
-def classic_term_sql(term: str, k: int = 10) -> str:
-    """ClassicSimilarity (TF-IDF) single-term oracle -> (rank, doc_id, score).
-    boost=1: queryNorm = 1/sqrt(idf^2) in float steps; value = (idf*qn)*idf;
-    score = (sqrt(freq)*value) * byte315ToFloat(norm)."""
-    idf = f32(
-        f"ln((SELECT n FROM coll) / CAST(ts.df + 1 AS DOUBLE)) + 1.0"
-    )
-    return f"""WITH {base_ctes()},
-cnorm(nb, cf) AS (VALUES {classic_norm_values()}),
-w AS (
-  SELECT {idf} AS idf,
-         {f32(f"CAST(1.0 / sqrt(CAST({f32(idf + ' * ' + idf)} AS DOUBLE)) AS REAL)")} AS qn
-  FROM (SELECT df FROM df WHERE term = '{term}') ts
-)
-SELECT CAST(rank AS BIGINT) AS rank, doc_id, score FROM (
-  SELECT row_number() OVER (ORDER BY score DESC, doc_id ASC) AS rank, doc_id, score
-  FROM (
-    SELECT t.doc_id AS doc_id,
-           {f32(f32(f32("CAST(sqrt(CAST(t.freq AS DOUBLE)) AS REAL)" + " * " + f32(f32("w.idf * w.qn") + " * w.idf")) ) + " * cn.cf")} AS score
-    FROM tf t
-    JOIN w ON TRUE
-    JOIN doccache dc ON dc.doc_id = t.doc_id
-    JOIN cnorm cn ON cn.nb = dc.nb
-    WHERE t.term = '{term}'
-  )
-) WHERE rank <= {k} ORDER BY rank"""
 
 
 def classic_bool_or_sql(terms: list[str], k: int = 10) -> str:
@@ -1321,38 +1243,6 @@ def _span_wv(terms: list[str]) -> str:
     return f32(f"{idf_acc} * {K1P1}")
 
 
-def span_near_ordered_hits_sql(t1: str, t2: str, slop: int) -> str:
-    """Ordered 2-clause SpanNear hit set: a match exists iff SOME pair
-    p1 < p2 with gap <= slop exists (the minimal-pair argument: the mutual
-    predecessor/successor pair inside it has a smaller gap)."""
-    return f"""
-WITH {base_ctes()},{_span_posd()}
-SELECT DISTINCT a.doc_id AS doc_id
-FROM posd a JOIN posd b ON b.doc_id = a.doc_id
-WHERE a.term = '{t1}' AND b.term = '{t2}'
-  AND b.p > a.p AND b.p - a.p - 1 <= {slop}
-ORDER BY doc_id"""
-
-
-def span_near_unordered_hits_sql(t1: str, t2: str, slop: int) -> str:
-    return f"""
-WITH {base_ctes()},{_span_posd()}
-SELECT DISTINCT a.doc_id AS doc_id
-FROM posd a JOIN posd b ON b.doc_id = a.doc_id
-WHERE a.term = '{t1}' AND b.term = '{t2}'
-  AND abs(b.p - a.p) - 1 <= {slop}
-ORDER BY doc_id"""
-
-
-def span_first_hits_sql(term: str, end: int) -> str:
-    """SpanFirstQuery hit set: a span (p, p+1) accepted iff p + 1 <= end."""
-    return f"""
-WITH {base_ctes()},{_span_posd()}
-SELECT DISTINCT doc_id FROM posd
-WHERE term = '{term}' AND p + 1 <= {end}
-ORDER BY doc_id"""
-
-
 def span_not_hits_sql(include: str, exclude: str, pre: int, post: int) -> str:
     """SpanNotQuery hit set: an include span (p, p+1) survives iff no
     exclude span intersects [p - pre, p + 1 + post), i.e. no exclude
@@ -1414,29 +1304,6 @@ hits AS (
   SELECT f.doc_id, f.acc AS freq
   FROM fold f JOIN cnt c ON c.doc_id = f.doc_id AND f.rn = c.nm
   WHERE f.acc > 0
-)
-SELECT CAST(rank AS BIGINT) AS rank, doc_id, score FROM (
-  SELECT row_number() OVER (ORDER BY score DESC, doc_id ASC) AS rank,
-         doc_id, score
-  FROM (SELECT h.doc_id AS doc_id,
-               {f32(num + ' / ' + f32("CAST(h.freq AS REAL) + dc.cache"))} AS score
-        FROM hits h JOIN doccache dc ON dc.doc_id = h.doc_id)
-) WHERE rank <= {k} ORDER BY rank"""
-
-
-def span_or_sql(t1: str, t2: str, k: int = 10) -> str:
-    """Scored SpanOr over two terms -> (rank, doc_id, score): every
-    occurrence is a length-1 span scoring sloppyFreq(1) = 0.5, so
-    freq = 0.5 * (tf1 + tf2) exactly (0.5 steps are exact in float32 at
-    these magnitudes); idf folds over the distinct sorted terms."""
-    wv = _span_wv([t1, t2])
-    num = f32(f"{wv} * CAST(h.freq AS REAL)")
-    return f"""
-WITH {base_ctes()},{_span_posd()},
-hits AS (
-  SELECT doc_id, CAST(count(*) AS REAL) * CAST(0.5 AS REAL) AS freq
-  FROM posd WHERE term IN ('{t1}', '{t2}')
-  GROUP BY doc_id
 )
 SELECT CAST(rank AS BIGINT) AS rank, doc_id, score FROM (
   SELECT row_number() OVER (ORDER BY score DESC, doc_id ASC) AS rank,

@@ -835,19 +835,6 @@ def minhash_signatures_from_hashes(
     return out
 
 
-def minhash_signatures_batch(
-    token_lists: list[list[str]], a: np.ndarray, b: np.ndarray,
-    chunk_tokens: int = 200_000,
-) -> np.ndarray:
-    """String-list front-end of :func:`minhash_signatures_from_hashes`
-    (one vectorized FNV pass over every token, then the segment-min)."""
-    counts = np.fromiter((len(t) for t in token_lists),
-                         count=len(token_lists), dtype=np.int64)
-    flat = [t for toks in token_lists for t in toks]
-    H = stable_hash64_batch(flat)
-    return minhash_signatures_from_hashes(H, counts, a, b, chunk_tokens)
-
-
 _BAND_SEED = np.uint64(0xCBF29CE484222325)
 _BAND_PRIME = np.uint64(0x100000001B3)
 

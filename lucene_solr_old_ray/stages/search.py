@@ -740,34 +740,6 @@ def collect_mtq_terms(leaf: LeafSearcher, q) -> dict[str, int]:
     raise TypeError(f"not a MultiTermQuery: {type(q).__name__}")
 
 
-def _edit_distance(a: str, b: str) -> int:
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, 1):
-        cur = [i]
-        for j, cb in enumerate(b, 1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1,
-                           prev[j - 1] + (ca != cb)))
-        prev = cur
-    return prev[-1]
-
-
-def _edit_distance_le(a: str, b: str, k: int) -> bool:
-    """Banded Levenshtein <= k (small k); early-exits on the band."""
-    if abs(len(a) - len(b)) > k:
-        return False
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, 1):
-        cur = [i] + [0] * len(b)
-        lo = len(b) + 1
-        for j, cb in enumerate(b, 1):
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb))
-            lo = min(lo, cur[j])
-        if lo > k and cur[0] > k:
-            return False
-        prev = cur
-    return prev[-1] <= k
-
-
 def fuzzy_distances_batch(strs: list[str], q: str,
                           transpositions: bool = False) -> np.ndarray:
     """Vectorized edit distances of every string to ``q``: the DP runs

@@ -84,3 +84,31 @@ def publish_index_manifest(index_dir: str, manifest: dict[str, Any]) -> int:
     manifest = dict(manifest, generation=gen)
     atomic_write_json(os.path.join(index_dir, f"manifest-{gen}.json"), manifest)
     return gen
+
+
+def leaf_rows(index_dir: str, manifest: dict[str, Any]) -> list[dict[str, Any]]:
+    """The index's leaves as reader rows, the one view every reader opens:
+    sorted by docBase, ``leaf_ord`` = position in that order (the
+    IndexReaderContext ord), ``dir`` as stored (relative to ``index_dir``,
+    or absolute in composed/split indexes), ``num_docs``, and ``deletes``
+    = the liveDocs file as an absolute path ("" = no deletes: one string
+    type, so Datasets over the rows keep one schema)."""
+    segs = sorted(manifest["segments"], key=lambda s: s["doc_base"])
+    return [
+        {"dir": s["dir"], "doc_base": int(s["doc_base"]), "leaf_ord": i,
+         "num_docs": int(s["num_docs"]),
+         "deletes": (os.path.abspath(os.path.join(index_dir, s["deletes"]))
+                     if s.get("deletes") else "")}
+        for i, s in enumerate(segs)
+    ]
+
+
+def live_docs(row: dict[str, Any]) -> int:
+    """numDocs of one leaf row: its docs minus the tombstones in its
+    liveDocs file. (A manifest's ``num_deleted`` is not used: merge-written
+    shards do not carry it.)"""
+    if not row["deletes"]:
+        return row["num_docs"]
+    import numpy as np
+
+    return int(np.load(row["deletes"]).sum())

@@ -282,16 +282,11 @@ def surround_query(index_dir: str, text: str,
                    max_basic_queries: int = 1024) -> Query:
     """Parse ``text`` and bind it to ``index_dir`` (truncations expand over
     the leaf term dictionaries) -> an executable Query tree."""
-    from .pipelines.search import _leaves, _open_leaf
+    from .pipelines.search import open_leaf
     from .state import manifest as mf
 
     ast = parse_surround(text)
-    manifest = mf.read_index_manifest(index_dir)
-    leaves = [
-        _open_leaf(index_dir, {"dir": l["dir"], "doc_base": l["doc_base"],
-                               "leaf_ord": i, "num_docs": l["num_docs"],
-                               "deletes": l.get("deletes")})
-        for i, l in enumerate(_leaves(manifest))
-    ]
+    leaves = [open_leaf(index_dir, row) for row in
+              mf.leaf_rows(index_dir, mf.read_index_manifest(index_dir))]
     budget = [max_basic_queries]
     return _to_query(ast, leaves, budget)

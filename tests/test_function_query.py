@@ -38,15 +38,14 @@ def fq_index(ray_session, tmp_path_factory):
 
 
 def _leaves_of(idx):
-    from lucene_solr_old_ray.pipelines.search import _leaves, gather_stats
     from lucene_solr_old_ray.stages.search import LeafSearcher
     from lucene_solr_old_ray.state import manifest as mf
 
     man = mf.read_index_manifest(idx)
     leaves = [
-        LeafSearcher(os.path.join(idx, l["dir"]), l["doc_base"], i,
-                     l["num_docs"])
-        for i, l in enumerate(_leaves(man))
+        LeafSearcher(os.path.join(idx, l["dir"]), l["doc_base"],
+                     l["leaf_ord"], l["num_docs"])
+        for l in mf.leaf_rows(idx, man)
     ]
     return man, leaves
 

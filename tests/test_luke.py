@@ -42,6 +42,41 @@ def test_luke_index_info(ray_session):
     assert info["version"] >= 1
 
 
+def test_luke_index_info_counts_deletes(ray_session, tmp_path):
+    """deletedDocs is read from the liveDocs files, resolved against the
+    index dir whatever the CWD, and survives a merge (merged shards carry
+    liveDocs but no num_deleted)."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from lucene_solr_old_ray.pipelines.build_index import build_index
+    from lucene_solr_old_ray.pipelines.deletes import delete_by_query
+    from lucene_solr_old_ray.pipelines.merge import merge_index
+    from lucene_solr_old_ray.pipelines.solrstats import luke_index_info
+    from lucene_solr_old_ray.queries import TermQuery
+    from lucene_solr_old_ray.sources.corpus import CorpusSpec
+
+    docs = ["alpha beta", "beta gamma", "gamma delta", "delta alpha",
+            "epsilon"]
+    path = str(tmp_path / "documents.parquet")
+    pq.write_table(pa.table({
+        "doc_id": pa.array(range(len(docs)), pa.int64()),
+        "text": pa.array(docs, pa.string()),
+    }), path)
+    idx = str(tmp_path / "idx")
+    build_index(CorpusSpec(files=(path,), content_col="text",
+                           meta_cols=("doc_id",)), idx,
+                target_docs_per_partition=2)
+    delete_by_query(idx, TermQuery("alpha"))
+    info = luke_index_info(idx)
+    assert (info["maxDoc"], info["numDocs"], info["deletedDocs"]) == (5, 3, 2)
+    assert info["hasDeletions"] and info["segmentCount"] == 3
+
+    merge_index(idx, fan_in=2, strategy="local")
+    info = luke_index_info(idx)
+    assert (info["maxDoc"], info["numDocs"], info["deletedDocs"]) == (5, 3, 2)
+
+
 def test_luke_field_report_vs_duckdb(ray_session, con):
     import __ray_entry__ as entry
     from lucene_solr_old_ray.pipelines.solrstats import luke_field_report

@@ -11,6 +11,13 @@ from lucene_solr_old_ray.sources.corpus import CorpusSpec, generate_corpus
 
 
 def test_serve_equals_batch(ray_session, tmp_path):
+    """Same plan, same results: term/boolean queries plus top-level value
+    sources (scale's global min/max, ord's composite ordinal map), before
+    and after a delete_by_query."""
+    from lucene_solr_old_ray.functions import valuesource as vs
+    from lucene_solr_old_ray.pipelines.deletes import delete_by_query
+    from lucene_solr_old_ray.queries import FunctionQuery
+
     p = str(tmp_path / "c.parquet")
     generate_corpus(p, 600, seed=21, rows_per_group=100)
     idx = str(tmp_path / "idx")
@@ -21,21 +28,30 @@ def test_serve_equals_batch(ray_session, tmp_path):
         1: bool_query(musts=["return", "class"]),
         2: bool_query(shoulds=["class", "def", "static"], min_should_match=2),
         3: bool_query(shoulds=["merge_score", "tokenstream"]),
+        4: FunctionQuery(vs.Scale(vs.TermFreq("return"), 0.0, 1.0)),
+        5: FunctionQuery(vs.Ord("lang")),
     }
-    batch = search(idx, qs, k=10).to_pandas()
-    svc = SearchService(idx, num_actors=2, algo="exhaustive")
-    served = svc.query(qs, k=10).to_pandas()
-    svc.shutdown()
-    assert batch[["qid", "rank", "docid"]].values.tolist() == \
-           served[["qid", "rank", "docid"]].values.tolist()
-    assert batch["score"].tolist() == served["score"].tolist()
 
-    # wand serving returns same ranked docs
-    svc = SearchService(idx, num_actors=2, algo="wand")
-    served_w = svc.query(qs, k=10).to_pandas()
-    svc.shutdown()
-    assert batch[["qid", "rank", "docid"]].values.tolist() == \
-           served_w[["qid", "rank", "docid"]].values.tolist()
+    def check():
+        batch = search(idx, qs, k=10).to_pandas()
+        svc = SearchService(idx, num_actors=2, algo="exhaustive")
+        served = svc.query(qs, k=10).to_pandas()
+        svc.shutdown()
+        assert batch[["qid", "rank", "docid", "total_hits"]].values.tolist() \
+            == served[["qid", "rank", "docid", "total_hits"]].values.tolist()
+        assert batch["score"].tolist() == served["score"].tolist()
+
+        # wand serving returns same ranked docs
+        svc = SearchService(idx, num_actors=2, algo="wand")
+        served_w = svc.query(qs, k=10).to_pandas()
+        svc.shutdown()
+        assert batch[["qid", "rank", "docid"]].values.tolist() == \
+               served_w[["qid", "rank", "docid"]].values.tolist()
+        return batch
+
+    assert set(check()["qid"]) == set(qs)
+    delete_by_query(idx, TermQuery("class"))
+    assert set(check()["qid"]) == set(qs) - {1}  # every hit of 1 had "class"
 
 
 def test_serve_rewrites_common_terms(ray_session, tmp_path):

@@ -492,6 +492,14 @@ def test_query_auto_stop_words(ray_session, tmp_path):
     spec = stop_chain_spec(auto_stop_words(idx, max_doc_freq=1))
     assert analyze_text("Common word alpha runs", spec) == ["alpha", "runs"]
 
+    # numDocs counts live docs: 4 of 5 after the delete -> maxDocFreq 1
+    # (docFreq still counts the deleted doc, as in the reference)
+    from lucene_solr_old_ray.pipelines.deletes import delete_by_query
+    from lucene_solr_old_ray.queries import TermQuery
+
+    delete_by_query(idx, TermQuery("gamma"))
+    assert auto_stop_words(idx, max_percent=0.4) == {"common", "word"}
+
 
 # --------------------------------------------- hyphenation decompounding
 
