@@ -6,8 +6,7 @@ pipelines: ingest Parquet corpora of source code `(repo, path, commit, lang,
 content)`, tokenize with a StandardAnalyzer-equivalent chain inside
 ``map_batches`` over Arrow batches, build immutable per-partition inverted
 segments, merge them with a term-keyed shuffle, and serve exact BM25
-(k1=1.2, b=0.75) top-k from a stateful searcher actor pool with score-safe
-block-max pruning.
+(k1=1.2, b=0.75) top-k from a stateful searcher actor pool.
 
 Layout:
 - ``functions/``  pure, vectorized kernels (tokenizer, norms, BM25, codec)

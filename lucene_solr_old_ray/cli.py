@@ -103,7 +103,6 @@ def main(argv: list[str] | None = None) -> int:
     s.add_argument("--index", required=True)
     s.add_argument("--query", required=True)
     s.add_argument("-k", type=int, default=10)
-    s.add_argument("--algo", choices=["exhaustive", "wand"], default="wand")
     s.add_argument("--similarity", default="bm25",
                    help="bm25 | classic | sweetspot:... | dfr:<m>:<ae>:<n> "
                         "| ib:<d>:<l>:<n> | lmdirichlet[:mu] | lmjm:<l> "
@@ -366,7 +365,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             raise SystemExit(f"unknown parser {args.parser!r}")
         res = search(args.index, {0: q}, k=args.k,
-                     algo=args.algo, similarity=args.similarity,
+                     similarity=args.similarity,
                      time_limit_s=args.time_limit)
         meta = fetch_doc_meta(args.index, res["docid"].to_pylist()).to_pandas()
         meta = meta.set_index("docid")

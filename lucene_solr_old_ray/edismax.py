@@ -25,7 +25,7 @@ integers, negative integers, percentages, negative percentages, and
 space-separated ``bound<spec`` conditionals evaluated left to right.
 
 Everything produces the engine's frozen Query dataclasses, so the parsed
-trees run through the ordinary distributed BM25/WAND executor unchanged.
+trees run through the ordinary distributed BM25 executor unchanged.
 """
 
 from __future__ import annotations

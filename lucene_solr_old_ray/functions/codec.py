@@ -4,9 +4,11 @@ Re-expresses (NOT ports) the reference's Lucene41 postings layout
 (``codecs/lucene41/Lucene41PostingsFormat.java:40-384`` — BLOCK_SIZE=128
 FOR-packed doc-delta/freq blocks with per-block bit width; skip entries every
 block) as a numpy-vectorized, self-describing binary blob, extended with a
-per-block impact table (max tf, max norm byte) to support score-safe
-Block-Max WAND pruning (a north-star addition; Ding & Suel, SIGIR'11 — the
-reference has only multi-level skip lists, ``codecs/MultiLevelSkipListWriter.java``).
+per-block impact table (max tf, max norm byte), written for Block-Max WAND
+pruning (Ding & Suel, SIGIR'11 — the reference has only multi-level skip
+lists, ``codecs/MultiLevelSkipListWriter.java``). The searcher no longer
+prunes (exhaustive scoring measured faster), so no reader uses the impacts;
+they stay until a format change drops them.
 
 A term's postings value is a **blob = sequence of chunks**. Each chunk is
 self-contained (its docIDs are chunk-local, shifted by the chunk's
@@ -273,7 +275,7 @@ def chunk_total_size(ndocs: int, nblocks: int, packed_len: int) -> int:
 
 class ChunkView:
     """Zero-copy view over one chunk of a blob (arrays reference the blob
-    buffer). Used by the searcher for skip/advance and WAND."""
+    buffer). Used by the searcher for skip/advance."""
 
     __slots__ = (
         "ndocs", "nblocks", "doc_offset", "last_docids", "max_tfs",

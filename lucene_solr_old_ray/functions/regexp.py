@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-_SPECIALS = set('|&?*+{}[]~.#@"()<>\\')
-
 
 class _P:
     """Recursive-descent parser over the RegExp.java grammar."""

@@ -119,7 +119,7 @@ class RawToken:
 
 
 class _Scanner:
-    """Resumable maximal-munch scanner with yypushback support."""
+    """Resumable maximal-munch scanner."""
 
     def __init__(self, text: str):
         self.text = text
@@ -130,11 +130,6 @@ class _Scanner:
         self.position_inc = 1
         self.num_link_toks = 0
         self.num_wiki_seen = 0
-        self.last_len = 0
-
-    def pushback(self) -> None:
-        self.pos -= self.last_len
-        self.last_len = 0
 
     def _lit(self, pos: int, s: str) -> int:
         return len(s) if self.text.startswith(s, pos) else 0
@@ -209,7 +204,6 @@ class _Scanner:
                            key=lambda t: (t[0], t[1]))
         rule = -rule
         self.pos = pos + length
-        self.last_len = length
         return self._action(st, rule, text[pos:pos + length], pos)
 
     def _emit(self, typ: str, text: str, start: int) -> RawToken:

@@ -247,15 +247,6 @@ class BooleanPerceptronClassifier:
         out = sum(self._snap.get(t, 0.0) for t in analyze_text(text or ""))
         return out >= self.threshold, out
 
-    def classify_many(self, texts: "list[str]") -> pa.Table:
-        """Vectorized batch classification -> (text_ord, class, score)."""
-        rows = [(i, *self.assign(t)) for i, t in enumerate(texts)]
-        return pa.table({
-            "text_ord": pa.array([r[0] for r in rows], pa.int64()),
-            "class": pa.array([r[1] for r in rows], pa.bool_()),
-            "score": pa.array([r[2] for r in rows], pa.float64()),
-        })
-
 
 def split_dataset(
     ds, *, test_fraction: float = 0.1, cv_fraction: float = 0.1,

@@ -136,6 +136,7 @@ def merge_index(
         ],
         "stats": manifest["stats"],
         "spec": manifest.get("spec", {}),
+        "part_counter": mf.part_counter(index_dir, manifest),
         "metrics": {
             "strategy": strategy,
             "fan_in": fan_in,

@@ -135,12 +135,12 @@ _ROW_DTYPES = {"qid": np.int64, "leaf_ord": np.int32, "rank": np.int32,
                "docid": np.int64, "score": np.float32, "hits": np.int64}
 
 
-def score_leaves(work, ctx: SearchContext, k: int, algo: str,
+def score_leaves(work, ctx: SearchContext, k: int,
                  deadline: float | None = None) -> dict[str, np.ndarray]:
     """Per-leaf top-k rows for each ``(leaf, [(qid, query), ...])`` pair of
     ``work``: columns qid, leaf_ord, rank (0-based), docid (global), score,
-    hits (the leaf's exact or lower-bound match count). The scoring step
-    of both ``search()`` and ``SearchService``.
+    hits (the leaf's exact match count). The scoring step of both
+    ``search()`` and ``SearchService``.
 
     With a ``deadline`` (TimeLimitingCollector, ``search/
     TimeLimitingCollector.java:33,160``) collection stops when the clock
@@ -164,17 +164,11 @@ def score_leaves(work, ctx: SearchContext, k: int, algo: str,
             if deadline is not None and _time.time() > deadline:
                 emit(-1, -1, np.array([-1]), np.array([0.0]), 0)
                 return _row_arrays(out)
-            if algo == "wand":
-                from ..stages.wand import execute_wand_or_fallback
-
-                docids, scores, nhits = execute_wand_or_fallback(
-                    q, leaf, ctx, k)
-            else:
-                docids, scores = execute(q, leaf, ctx)
-                nhits = len(docids)
-                docids, scores = top_k(docids, scores, k)
+            docids, scores = execute(q, leaf, ctx)
+            nhits = len(docids)
+            docids, scores = top_k(docids, scores, k)
             emit(qid, leaf.ord, docids.astype(np.int64) + leaf.doc_base,
-                 scores, int(nhits))
+                 scores, nhits)
     return _row_arrays(out)
 
 
@@ -218,7 +212,7 @@ def merge_top_docs(parts, k: int) -> pa.Table:
 
 
 def _score_rows(batch: "pd.DataFrame", *, index_dir: str, queries_ref,
-                ctx_ref, k: int, algo: str,
+                ctx_ref, k: int,
                 deadline: float | None = None) -> "pd.DataFrame":
     """Task-pool entry: one scoring pass over a batch of (leaf, query-chunk)
     rows — the work fans out across BOTH leaves and query chunks, so
@@ -228,8 +222,7 @@ def _score_rows(batch: "pd.DataFrame", *, index_dir: str, queries_ref,
     queries: list[tuple[int, Query]] = ray.get(queries_ref)
     work = ((open_leaf(index_dir, row), queries[row["q_lo"]:row["q_hi"]])
             for row in batch.to_dict("records"))
-    return pd.DataFrame(score_leaves(work, ray.get(ctx_ref), k, algo,
-                                     deadline))
+    return pd.DataFrame(score_leaves(work, ray.get(ctx_ref), k, deadline))
 
 
 def leaf_stats(leaf: LeafSearcher, terms: Sequence[str],
@@ -745,6 +738,7 @@ def search(
 ) -> pa.Table:
     """Run a batch of queries -> table (qid, rank[1-based], docid, score,
     total_hits), rank-ordered per qid with TopDocs.merge tie semantics.
+    ``algo`` accepts "exhaustive" and "wand"; both run the same exact scorer.
 
     ``time_limit_s`` enables TimeLimitingCollector semantics
     (``search/TimeLimitingCollector.java:33,160``): collection stops when
@@ -758,8 +752,6 @@ def search(
         index_dir, manifest, queries,
         lambda t, f: gather_stats(index_dir, manifest, t, similarity,
                                   field_terms=f))
-    if similarity != "bm25":
-        algo = "exhaustive"  # WAND bounds are BM25-specific
 
     # fan out over (leaf × query-chunk) so few-shard indexes still parallelize
     n_chunks = max(1, min(len(qitems) // 8, 16))
@@ -782,8 +774,7 @@ def search(
         _score_rows,
         fn_kwargs={
             "index_dir": index_dir, "queries_ref": queries_ref,
-            "ctx_ref": ctx_ref, "k": k, "algo": algo,
-            "deadline": deadline,
+            "ctx_ref": ctx_ref, "k": k, "deadline": deadline,
         },
         batch_format="pandas",
         batch_size=1,

@@ -44,9 +44,10 @@ class SearcherActor:
                          for leaf in self.leaves)
 
     def search(self, queries: list[tuple[int, Query]], ctx: SearchContext,
-               k: int, algo: str) -> dict[str, np.ndarray]:
-        return score_leaves(((leaf, queries) for leaf in self.leaves),
-                            ctx, k, algo)
+               k: int, algo: str = "exhaustive") -> dict[str, np.ndarray]:
+        """``algo`` accepts "exhaustive" and "wand"; both run the same exact
+        scorer."""
+        return score_leaves(((leaf, queries) for leaf in self.leaves), ctx, k)
 
 
 class SearchService:
@@ -55,15 +56,16 @@ class SearchService:
     The service is a POINT-IN-TIME view (DirectoryReader.open semantics):
     it binds the manifest generation current at construction, including its
     liveDocs. Re-create the service to observe later generations (adds,
-    deletes, merges) — the refresh/reopen analogue."""
+    deletes, merges) — the refresh/reopen analogue. ``algo`` accepts
+    "exhaustive" and "wand"; both run the same exact scorer."""
 
-    def __init__(self, index_dir: str, num_actors: int = 8, algo: str = "wand"):
+    def __init__(self, index_dir: str, num_actors: int = 8,
+                 algo: str = "exhaustive"):
         self.index_dir = index_dir
         self.manifest = mf.read_index_manifest(index_dir)
         self.actors = [
             SearcherActor.remote(index_dir, group) for group in
             _leaf_groups(mf.leaf_rows(index_dir, self.manifest), num_actors)]
-        self.algo = algo
         # warm: force actor construction (mmap + term dict load)
         ray.get([a.stats.remote([]) for a in self.actors])
 
@@ -77,7 +79,7 @@ class SearchService:
         qitems, ctx = plan_queries(self.index_dir, self.manifest, queries,
                                    self._gather)
         return merge_top_docs(ray.get([
-            a.search.remote(qitems, ctx, k, self.algo) for a in self.actors
+            a.search.remote(qitems, ctx, k) for a in self.actors
         ]), k)
 
     def shutdown(self):

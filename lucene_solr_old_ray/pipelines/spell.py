@@ -64,7 +64,11 @@ def spell_suggest(
              for s in man["segments"]]
     qs = list(queries)
 
-    def scan(batch: pa.Table) -> pd.DataFrame:
+    # typed, so a batch without candidates has the schema of a full one
+    scan_schema = pa.schema([("query", pa.string()), ("term", pa.string()),
+                             ("df", pa.int64()), ("ed", pa.int64())])
+
+    def scan(batch: pa.Table) -> pa.Table:
         terms = batch["term"].to_pylist()
         strs = [t.decode() if isinstance(t, bytes) else str(t) for t in terms]
         dfs = batch["df"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -89,12 +93,7 @@ def spell_suggest(
             out_t.extend([c for c, k in zip(cand, keep) if k])
             out_d.extend(dfs[idx[keep]].tolist())
             out_e.extend(eds[keep].tolist())
-        return pd.DataFrame({
-            "query": pd.Series(out_q, dtype=object),
-            "term": pd.Series(out_t, dtype=object),
-            "df": pd.Series(out_d, dtype="int64"),
-            "ed": pd.Series(out_e, dtype="int64"),
-        })
+        return pa.table([out_q, out_t, out_d, out_e], schema=scan_schema)
 
     parts = (
         ray.data.read_parquet(files, columns=["term", "df"])

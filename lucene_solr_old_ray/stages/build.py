@@ -348,6 +348,11 @@ def build_segment(
         import json as _json
 
         m = mf.read_json(os.path.join(seg, mf.SEGMENT_MANIFEST))
+        if (m["doc_base"], m["num_docs"]) != (doc_base, num_docs):
+            raise ValueError(
+                f"{seg} holds doc_base {m['doc_base']} num_docs "
+                f"{m['num_docs']}, planned {doc_base} {num_docs}: "
+                "refusing to resume a different segment")
         return {**m["metrics"], "part_id": part_id, "num_docs": m["num_docs"],
                 "sum_tf": m["sum_tf"],
                 "fields_json": _json.dumps(m.get("fields", {})),

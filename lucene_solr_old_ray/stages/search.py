@@ -437,7 +437,7 @@ def collect_leaf_stats(leaf: LeafSearcher, terms: list[str]) -> dict[str, tuple[
 
 
 # ---------------------------------------------------------------------------
-# scoring executors (exhaustive DAAT; WAND lives in stages/wand.py)
+# scoring executors (exhaustive DAAT)
 # ---------------------------------------------------------------------------
 
 

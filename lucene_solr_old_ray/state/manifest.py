@@ -86,6 +86,23 @@ def publish_index_manifest(index_dir: str, manifest: dict[str, Any]) -> int:
     return gen
 
 
+def part_counter(index_dir: str, manifest: dict[str, Any]) -> int:
+    """The next unused segment part id, ``part_counter`` in the manifest
+    (``SegmentInfos.counter``): it only ever increases, so a new segment
+    never lands in the ``segments/seg-NNNNNN`` directory of an older one,
+    even after a merge has replaced the part ids. For a manifest without
+    it: one past the larger of its part ids and the highest ``seg-*``
+    directory on disk."""
+    if "part_counter" in manifest:
+        return int(manifest["part_counter"])
+    parts = [int(s["part_id"]) for s in manifest.get("segments", ())]
+    seg_root = os.path.join(index_dir, "segments")
+    if os.path.isdir(seg_root):
+        parts += [int(n[4:]) for n in os.listdir(seg_root)
+                  if n.startswith("seg-") and n[4:].isdigit()]
+    return 1 + max(parts, default=-1)
+
+
 def leaf_rows(index_dir: str, manifest: dict[str, Any]) -> list[dict[str, Any]]:
     """The index's leaves as reader rows, the one view every reader opens:
     sorted by docBase, ``leaf_ord`` = position in that order (the

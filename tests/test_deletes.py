@@ -117,6 +117,52 @@ def test_update_documents_flow(idx):
     assert (res["docid"] >= 400).all()  # appended docBase
 
 
+@pytest.mark.parametrize("counter", [True, False])
+def test_add_after_merge_reaches_index(idx, counter):
+    """After a merge the live part ids restart at the shard ids, so new
+    segments must be numbered from the manifest's part counter (or, in a
+    manifest without one, past every seg-* directory on disk), never into a
+    pre-merge segment directory."""
+    d, _, tmp_path = idx
+    import pyarrow as pa
+    from lucene_solr_old_ray.pipelines.merge import merge_index
+    from lucene_solr_old_ray.state import manifest as mf
+
+    merge_index(d, fan_in=2, strategy="local")
+    if not counter:  # a manifest written before the counter existed
+        m = mf.read_index_manifest(d)
+        m.pop("part_counter", None)
+        mf.publish_index_manifest(d, m)
+    n_new = 60
+    p2 = str(tmp_path / "marked.parquet")
+    pq.write_table(pa.table({
+        "repo": ["add"] * n_new, "path": [f"a{i}" for i in range(n_new)],
+        "commit": ["c" * 40] * n_new, "lang": ["py"] * n_new,
+        "content": [f"return zzaddmarker {i}" for i in range(n_new)]}), p2)
+    man = add_documents(d, CorpusSpec.source_code(p2))
+    assert man["stats"]["max_doc"] == sum(s["num_docs"]
+                                          for s in man["segments"]) == 400 + n_new
+    res = search(d, {0: TermQuery("zzaddmarker")}, k=5).to_pandas()
+    assert res["total_hits"].iloc[0] == n_new
+    assert (res["docid"] >= 400).all()
+
+
+def test_resume_refuses_a_different_segment(idx):
+    """A build resumes an existing segment only if it holds the planned
+    docs."""
+    d, _, tmp_path = idx
+    from lucene_solr_old_ray.stages.build import build_segment
+    from lucene_solr_old_ray.state import manifest as mf
+
+    p = str(tmp_path / "c.parquet")
+    seg = mf.read_index_manifest(d)["segments"][1]
+    with pytest.raises(ValueError, match="refusing to resume"):
+        build_segment(CorpusSpec.source_code(p), d,
+                      part_id=seg["part_id"], file=p,
+                      row_groups=[], doc_base=seg["doc_base"] + 1,
+                      num_docs=seg["num_docs"], row_start=0)
+
+
 @pytest.mark.parametrize("strategy", ["local", "termwise"])
 def test_merge_carries_tombstones(idx, strategy):
     """Deleting then merging must not resurrect deleted docs."""

@@ -1,11 +1,10 @@
-"""Block-Max WAND: pruned top-k must be identical (docids AND float32 scores)
-to the exhaustive executor; pruning must actually skip work on hot terms."""
+"""``algo="wand"`` and ``execute_wand_or_fallback`` must give the exhaustive
+executor's top-k (docids AND float32 scores) and exact hit counts."""
 
 import numpy as np
 import pyarrow.parquet as pq
 import pytest
 
-from lucene_solr_old_ray.functions import bm25
 from lucene_solr_old_ray.pipelines.build_index import build_index
 from lucene_solr_old_ray.pipelines.merge import merge_index
 from lucene_solr_old_ray.pipelines.search import gather_stats, search
@@ -54,43 +53,8 @@ def test_wand_equals_exhaustive_pipeline(big_index):
         np.testing.assert_array_equal(
             ga["score"].to_numpy(np.float32), gb["score"].to_numpy(np.float32)
         )
-        # pruned total_hits is a lower bound
-        if len(ga):
-            assert gb["total_hits"].iloc[0] <= ga["total_hits"].iloc[0]
-
-
-def test_wand_actually_prunes(ray_session, tmp_path):
-    """Skewed blocks: a few early short/high-tf docs dominate; the long tail
-    of low-impact blocks must be skipped without decoding."""
-    import os
-    import pyarrow as pa
-
-    docs = []
-    for i in range(16):  # block 0: high impact
-        docs.append("hot hot hot hot spice")
-    for i in range(2000):  # tail: tf=1 in long docs -> low block UBs
-        filler = " ".join(f"w{j}" for j in range(80))
-        docs.append(f"hot {filler}")
-    n = len(docs)
-    p = str(tmp_path / "c.parquet")
-    pq.write_table(
-        pa.table({"repo": ["r"] * n, "path": [f"p{i}" for i in range(n)],
-                  "commit": ["c"] * n, "lang": ["txt"] * n, "content": docs}), p)
-    idx = str(tmp_path / "idx")
-    build_index(CorpusSpec.source_code(p), idx, target_docs_per_partition=10_000)
-    man = mf.read_index_manifest(idx)
-    leaf_row = man["segments"][0]
-    leaf = LeafSearcher(os.path.join(idx, leaf_row["dir"]), 0, 0,
-                        leaf_row["num_docs"])
-    q = TermQuery("hot")
-    ctx = gather_stats(idx, man, ["hot"])
-    d_ex, s_ex = execute(q, leaf, ctx)
-    n_total = len(d_ex)
-    d_w, s_w, n_scored = execute_wand_or_fallback(q, leaf, ctx, K)
-    d_t, s_t = top_k(d_ex, s_ex, K)
-    assert d_w.tolist() == d_t.tolist()
-    np.testing.assert_array_equal(s_w, s_t)
-    assert n_scored < n_total / 2, f"pruning too weak ({n_scored}/{n_total})"
+        assert ga["total_hits"].tolist() == gb["total_hits"].tolist(), \
+            f"qid {qid}"
 
 
 def test_wand_randomized_postings(ray_session):
