@@ -70,12 +70,9 @@ def build_index(
         }
         for p in plans
     ]
-    prev = (mf.read_index_manifest(index_dir)
-            if mf.latest_generation(index_dir) else {})
     manifest = {
         "kind": "segments",
         "segments": segments,
-        "part_counter": max(len(plans), mf.part_counter(index_dir, prev)),
         "stats": {"max_doc": max_doc, "sum_total_term_freq": sum_tf,
                   "fields": {n: {"sum_total_term_freq": v}
                              for n, v in field_totals.items()}},

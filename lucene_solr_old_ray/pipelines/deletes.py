@@ -103,7 +103,7 @@ def add_documents(index_dir: str, spec, *, target_docs_per_partition=50_000) -> 
 
     manifest = mf.read_index_manifest(index_dir)
     base = manifest["stats"]["max_doc"]
-    part0 = mf.part_counter(index_dir, manifest)
+    part0 = mf.next_part_id(index_dir, manifest)
     plans = plan_partitions(spec, target_docs_per_partition)
     for p in plans:
         p.part_id += part0
@@ -116,7 +116,7 @@ def add_documents(index_dir: str, spec, *, target_docs_per_partition=50_000) -> 
         make_build_fn(spec, index_dir), batch_format="pandas", batch_size=1
     ).to_pandas()
 
-    new_manifest = dict(manifest, part_counter=part0 + len(plans))
+    new_manifest = dict(manifest)
     new_manifest["segments"] = list(manifest["segments"]) + [
         {"dir": os.path.relpath(segment_dir(index_dir, p.part_id), index_dir),
          "part_id": p.part_id, "doc_base": p.doc_base, "num_docs": p.num_docs}

@@ -136,7 +136,6 @@ def merge_index(
         ],
         "stats": manifest["stats"],
         "spec": manifest.get("spec", {}),
-        "part_counter": mf.part_counter(index_dir, manifest),
         "metrics": {
             "strategy": strategy,
             "fan_in": fan_in,

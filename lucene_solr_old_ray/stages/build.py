@@ -348,10 +348,14 @@ def build_segment(
         import json as _json
 
         m = mf.read_json(os.path.join(seg, mf.SEGMENT_MANIFEST))
-        if (m["doc_base"], m["num_docs"]) != (doc_base, num_docs):
+        lin = m.get("lineage", {})
+        have = (m["doc_base"], m["num_docs"], lin.get("file"),
+                lin.get("row_groups"), lin.get("row_start"))
+        want = (doc_base, num_docs, file, list(row_groups), row_start)
+        if have != want:
             raise ValueError(
-                f"{seg} holds doc_base {m['doc_base']} num_docs "
-                f"{m['num_docs']}, planned {doc_base} {num_docs}: "
+                f"{seg} holds (doc_base, num_docs, file, row_groups, "
+                f"row_start) {have}, planned {want}: "
                 "refusing to resume a different segment")
         return {**m["metrics"], "part_id": part_id, "num_docs": m["num_docs"],
                 "sum_tf": m["sum_tf"],

@@ -86,15 +86,13 @@ def publish_index_manifest(index_dir: str, manifest: dict[str, Any]) -> int:
     return gen
 
 
-def part_counter(index_dir: str, manifest: dict[str, Any]) -> int:
-    """The next unused segment part id, ``part_counter`` in the manifest
-    (``SegmentInfos.counter``): it only ever increases, so a new segment
-    never lands in the ``segments/seg-NNNNNN`` directory of an older one,
-    even after a merge has replaced the part ids. For a manifest without
-    it: one past the larger of its part ids and the highest ``seg-*``
-    directory on disk."""
-    if "part_counter" in manifest:
-        return int(manifest["part_counter"])
+def next_part_id(index_dir: str, manifest: dict[str, Any]) -> int:
+    """The next unused segment part id: one past the manifest's part ids and
+    every ``segments/seg-NNNNNN`` directory on disk (like Lucene's
+    ``SegmentInfos.counter``, it only ever increases). Segment directories
+    are never deleted, so a new segment never lands in an older one's
+    directory, whether a merge replaced the part ids or an earlier add
+    failed before publishing its manifest."""
     parts = [int(s["part_id"]) for s in manifest.get("segments", ())]
     seg_root = os.path.join(index_dir, "segments")
     if os.path.isdir(seg_root):

@@ -117,50 +117,71 @@ def test_update_documents_flow(idx):
     assert (res["docid"] >= 400).all()  # appended docBase
 
 
-@pytest.mark.parametrize("counter", [True, False])
-def test_add_after_merge_reaches_index(idx, counter):
-    """After a merge the live part ids restart at the shard ids, so new
-    segments must be numbered from the manifest's part counter (or, in a
-    manifest without one, past every seg-* directory on disk), never into a
-    pre-merge segment directory."""
-    d, _, tmp_path = idx
+def _marked_batch(path, n, marker):
     import pyarrow as pa
+
+    pq.write_table(pa.table({
+        "repo": ["add"] * n, "path": [f"a{i}" for i in range(n)],
+        "commit": ["c" * 40] * n, "lang": ["py"] * n,
+        "content": [f"return {marker} {i}" for i in range(n)]}), path)
+    return CorpusSpec.source_code(path)
+
+
+def test_add_after_merge_reaches_index(idx):
+    """After a merge the live part ids restart at the shard ids, and an add
+    that failed before publishing leaves its segment directory behind; new
+    segments must be numbered past every seg-* directory on disk, never
+    resume one of those."""
+    d, _, tmp_path = idx
+    import os
+    from dataclasses import asdict
+
     from lucene_solr_old_ray.pipelines.merge import merge_index
+    from lucene_solr_old_ray.sources.corpus import plan_partitions
+    from lucene_solr_old_ray.stages.build import build_segment
     from lucene_solr_old_ray.state import manifest as mf
 
     merge_index(d, fan_in=2, strategy="local")
-    if not counter:  # a manifest written before the counter existed
-        m = mf.read_index_manifest(d)
-        m.pop("part_counter", None)
-        mf.publish_index_manifest(d, m)
     n_new = 60
-    p2 = str(tmp_path / "marked.parquet")
-    pq.write_table(pa.table({
-        "repo": ["add"] * n_new, "path": [f"a{i}" for i in range(n_new)],
-        "commit": ["c" * 40] * n_new, "lang": ["py"] * n_new,
-        "content": [f"return zzaddmarker {i}" for i in range(n_new)]}), p2)
-    man = add_documents(d, CorpusSpec.source_code(p2))
+    # batch A: its segment is built, but the add dies before the manifest
+    spec_a = _marked_batch(str(tmp_path / "a.parquet"), n_new, "zzorphan")
+    (plan,) = plan_partitions(spec_a)
+    plan.part_id = 1 + max(int(n[4:]) for n in os.listdir(
+        os.path.join(d, "segments")) if n[4:].isdigit())
+    plan.doc_base = mf.read_index_manifest(d)["stats"]["max_doc"]
+    build_segment(spec_a, d, **asdict(plan))
+    # batch B: same size, so the same doc_base and num_docs as A
+    spec_b = _marked_batch(str(tmp_path / "b.parquet"), n_new, "zzaddmarker")
+    man = add_documents(d, spec_b)
     assert man["stats"]["max_doc"] == sum(s["num_docs"]
                                           for s in man["segments"]) == 400 + n_new
     res = search(d, {0: TermQuery("zzaddmarker")}, k=5).to_pandas()
     assert res["total_hits"].iloc[0] == n_new
     assert (res["docid"] >= 400).all()
+    assert len(search(d, {0: TermQuery("zzorphan")}, k=5).to_pandas()) == 0
 
 
 def test_resume_refuses_a_different_segment(idx):
     """A build resumes an existing segment only if it holds the planned
-    docs."""
+    docs: same doc_base, num_docs and source rows."""
     d, _, tmp_path = idx
+    import os
+
     from lucene_solr_old_ray.stages.build import build_segment
     from lucene_solr_old_ray.state import manifest as mf
 
-    p = str(tmp_path / "c.parquet")
     seg = mf.read_index_manifest(d)["segments"][1]
-    with pytest.raises(ValueError, match="refusing to resume"):
-        build_segment(CorpusSpec.source_code(p), d,
-                      part_id=seg["part_id"], file=p,
-                      row_groups=[], doc_base=seg["doc_base"] + 1,
-                      num_docs=seg["num_docs"], row_start=0)
+    lin = mf.read_json(os.path.join(d, seg["dir"], mf.SEGMENT_MANIFEST))["lineage"]
+    plan = dict(part_id=seg["part_id"], file=lin["file"],
+                row_groups=lin["row_groups"], doc_base=seg["doc_base"],
+                num_docs=seg["num_docs"], row_start=lin["row_start"])
+    spec = CorpusSpec.source_code(lin["file"])
+    assert build_segment(spec, d, **plan)["skipped"]
+    other = str(tmp_path / "other.parquet")
+    for change in ({"doc_base": seg["doc_base"] + 1}, {"file": other},
+                   {"row_start": lin["row_start"] + 1}):
+        with pytest.raises(ValueError, match="refusing to resume"):
+            build_segment(spec, d, **{**plan, **change})
 
 
 @pytest.mark.parametrize("strategy", ["local", "termwise"])
