@@ -7,7 +7,8 @@ descriptor table — the postings themselves never move; actors mmap them:
    (``TermContext.build`` over all leaves), roll up on the driver, broadcast
    via ``ray.put`` (ShardSearchingTestBase's stats-exchange protocol).
 2. **scoring pass** — ``map_batches(_score_rows)``: a task pool whose state
-   (opened ``LeafSearcher``s — term dict in RAM, postings/norms mmap'd) lives
+   (opened ``LeafSearcher``s — term dict in RAM, postings/norms mmap'd,
+   decoded postings in the process-wide cache) lives
    in the worker-process-level :data:`_WORKER_LEAVES` cache, so it survives
    across batches AND across ``search()`` calls; each task runs its query
    chunk against its leaf, emitting per-leaf top-k rows.
@@ -25,12 +26,15 @@ exchange, top-level value sources), ``leaf_stats`` / ``sum_stats`` /
 
 Scale notes: the shuffle-free design holds at 10^12 docs — queries and stats
 are broadcast (small), per-leaf top-k rows are k × leaves × queries (small);
-actors hold only term dictionaries in heap and fault postings pages on demand.
+actors hold term dictionaries in heap, read postings from read-only mmaps,
+and decode each term's postings once per process into a byte-bounded LRU
+(``stages.search._DECODED``, 256 MiB) that every scorer path reads.
 """
 
 from __future__ import annotations
 
 import os
+from collections import OrderedDict
 from typing import Sequence
 
 import numpy as np
@@ -83,14 +87,14 @@ from ..stages.search import (
 from ..state import manifest as mf
 
 
-# worker-process-level open-leaf cache: segments/shards are IMMUTABLE
+# worker-process-level open-leaf LRU: segments/shards are IMMUTABLE
 # (published by atomic rename, never rewritten), so a loaded term dict +
-# memmaps stay valid for the life of the worker. Ray core reuses idle
+# mmaps stay valid for the life of the worker. Ray core reuses idle
 # worker PROCESSES across Dataset executions within a job, so the cache
 # survives across search() calls — an actor instance's dict would die with
 # its pool. Keyed by (leaf dir, deletes path, deletes mtime): a new deletes
 # generation writes a NEW file, and mtime guards in-place rewrites.
-_WORKER_LEAVES: dict[tuple, LeafSearcher] = {}
+_WORKER_LEAVES: OrderedDict[tuple, LeafSearcher] = OrderedDict()
 
 
 def open_leaf(index_dir: str, row) -> LeafSearcher:
@@ -103,17 +107,19 @@ def open_leaf(index_dir: str, row) -> LeafSearcher:
     key = (index_dir, row["dir"], st.st_ino, st.st_mtime_ns, dpath,
            os.path.getmtime(dpath) if dpath else 0.0)
     ls = _WORKER_LEAVES.get(key)
-    if ls is None:
-        ls = LeafSearcher(
-            os.path.join(index_dir, row["dir"]),
-            int(row["doc_base"]),
-            int(row["leaf_ord"]),
-            int(row["num_docs"]),
-            deletes_path=dpath,
-        )
-        if len(_WORKER_LEAVES) > 64:  # bounded per worker process
-            _WORKER_LEAVES.pop(next(iter(_WORKER_LEAVES)))
-        _WORKER_LEAVES[key] = ls
+    if ls is not None:
+        _WORKER_LEAVES.move_to_end(key)
+        return ls
+    ls = LeafSearcher(
+        os.path.join(index_dir, row["dir"]),
+        int(row["doc_base"]),
+        int(row["leaf_ord"]),
+        int(row["num_docs"]),
+        deletes_path=dpath,
+    )
+    _WORKER_LEAVES[key] = ls
+    if len(_WORKER_LEAVES) > 64:  # bounded per worker process
+        _WORKER_LEAVES.popitem(last=False)
     return ls
 
 

@@ -25,7 +25,7 @@ import pyarrow as pa
 import ray
 
 from ..queries import Query
-from ..stages.search import SearchContext
+from ..stages.search import SearchContext, decoded_cache_stats
 from ..state import manifest as mf
 from .search import (_leaf_groups, leaf_stats, make_context, merge_top_docs,
                      open_leaf, plan_queries, score_leaves, sum_stats)
@@ -33,10 +33,18 @@ from .search import (_leaf_groups, leaf_stats, make_context, merge_top_docs,
 
 @ray.remote
 class SearcherActor:
-    """Holds a group of leaves open (term dict in RAM, postings mmap'd)."""
+    """Holds a group of leaves open (term dict in RAM, postings mmap'd).
+    Each term's postings are decoded once in the actor's process and kept
+    in the byte-bounded decoded-postings cache, so repeated queries skip
+    the decode."""
 
     def __init__(self, index_dir: str, leaves: list[dict]):
         self.leaves = [open_leaf(index_dir, row) for row in leaves]
+
+    def cache_stats(self) -> dict[str, int]:
+        """This actor's decoded-postings cache counters
+        (``stages.search.decoded_cache_stats``)."""
+        return decoded_cache_stats()
 
     def stats(self, terms: list[str],
               field_terms: list[tuple[str, str]] = ()) -> tuple[dict, dict]:

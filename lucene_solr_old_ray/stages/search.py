@@ -22,6 +22,7 @@ Re-expresses (NOT ports) the reference's search path (SURVEY §3.2):
 from __future__ import annotations
 
 import os
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,11 +62,39 @@ from ..queries import (
 
 _BLOOM_UNSET = object()  # sentinel: bloom sidecar not yet probed on disk
 
+# Process-wide LRU of decoded postings: (segment identity, field prefix,
+# term id) -> read-only arrays from LeafSearcher.decoded. Segments are
+# immutable and liveDocs apply after decoding, so an entry stays valid for
+# every reader of its segment, whatever its deletes generation. Bounded by
+# array bytes; each worker process and actor runs one task at a time, so
+# the plain dict needs no lock.
+_DECODED_MAX_BYTES = 256 << 20
+_DECODED: OrderedDict = OrderedDict()
+_DECODED_STATS = {"hits": 0, "misses": 0, "evictions": 0, "bytes": 0}
+
+
+def decoded_cache_stats() -> dict[str, int]:
+    """This process's decoded-postings cache counters: hits, misses,
+    evictions, bytes (held now) and entries."""
+    return dict(_DECODED_STATS, entries=len(_DECODED))
+
+
+def _bytes_view(leaf_dir: str, name: str, lens: np.ndarray) -> np.ndarray:
+    """A leaf file as a plain uint8 ndarray over its read-only mmap: slices
+    of it skip np.memmap's per-slice subclass overhead."""
+    if lens.sum() == 0:
+        return np.zeros(0, dtype=np.uint8)
+    mm = np.memmap(os.path.join(leaf_dir, name), dtype=np.uint8, mode="r")
+    return np.asarray(mm).view(np.ndarray)
+
 
 class LeafSearcher:
-    """One open segment/shard: term dict in RAM, postings + norms memory-mapped
-    (``store/MMapDirectory.java:79`` analogue). Loaded once per actor per leaf
-    and cached across query batches."""
+    """One open segment/shard: term dict and norms in RAM, postings read from
+    read-only mmaps (``store/MMapDirectory.java:79`` analogue). Loaded once
+    per actor per leaf and cached across query batches. A term's postings
+    are decoded once per process and kept in the byte-bounded
+    :data:`_DECODED` LRU, shared by every reader of the segment
+    (:meth:`decoded`)."""
 
     def __init__(self, leaf_dir: str, doc_base: int, leaf_ord: int, num_docs: int,
                  deletes_path: str | None = None, field: str | None = None):
@@ -81,7 +110,12 @@ class LeafSearcher:
         self.ord = leaf_ord
         self.num_docs = num_docs
         self._siblings: dict[str, LeafSearcher] = {}
-        t = pq.read_table(os.path.join(leaf_dir, fp + "terms.parquet"))
+        tpath = os.path.join(leaf_dir, fp + "terms.parquet")
+        # segment identity for the decoded cache: inode+mtime guard against
+        # a rebuilt index at the same path
+        st = os.stat(tpath)
+        self._seg_key = (leaf_dir, fp, st.st_ino, st.st_mtime_ns)
+        t = pq.read_table(tpath)
         # Term dict as compact UTF-8 bytes + offsets (BlockTreeTermsReader's
         # byte-oriented dict, NOT a Python object array): one bytes buffer +
         # an int offset array; lookups bisect with C-level memcmp. UTF-8 byte
@@ -107,48 +141,30 @@ class LeafSearcher:
         self.ttf = t["ttf"].to_numpy()
         self.off = t["off"].to_numpy()
         self.len = t["len"].to_numpy()
-        self.postings_mm = (
-            np.memmap(os.path.join(leaf_dir, fp + "postings.bin"),
-                      dtype=np.uint8, mode="r")
-            if self.len.sum() > 0
-            else np.zeros(0, dtype=np.uint8)
-        )
+        self.postings_mm = _bytes_view(leaf_dir, fp + "postings.bin",
+                                       self.len)
         self.has_positions = "pos_off" in t.column_names
         if self.has_positions:
             self.pos_off = t["pos_off"].to_numpy()
             self.pos_len = t["pos_len"].to_numpy()
-            self.positions_mm = (
-                np.memmap(os.path.join(leaf_dir, fp + "positions.bin"),
-                          dtype=np.uint8, mode="r")
-                if self.pos_len.sum() > 0
-                else np.zeros(0, dtype=np.uint8)
-            )
+            self.positions_mm = _bytes_view(leaf_dir, fp + "positions.bin",
+                                            self.pos_len)
         self.has_payloads = "pay_off" in t.column_names
         if self.has_payloads:
             self.pay_off = t["pay_off"].to_numpy()
             self.pay_len = t["pay_len"].to_numpy()
-            self.payloads_mm = (
-                np.memmap(os.path.join(leaf_dir, fp + "payloads.bin"),
-                          dtype=np.uint8, mode="r")
-                if self.pay_len.sum() > 0
-                else np.zeros(0, dtype=np.uint8)
-            )
+            self.payloads_mm = _bytes_view(leaf_dir, fp + "payloads.bin",
+                                           self.pay_len)
         self.has_offsets = "soff_off" in t.column_names
         if self.has_offsets:
             self.soff_off = t["soff_off"].to_numpy()
             self.soff_len = t["soff_len"].to_numpy()
             self.eoff_off = t["eoff_off"].to_numpy()
             self.eoff_len = t["eoff_len"].to_numpy()
-            self.soffs_mm = (
-                np.memmap(os.path.join(leaf_dir, fp + "soffs.bin"),
-                          dtype=np.uint8, mode="r")
-                if self.soff_len.sum() > 0
-                else np.zeros(0, dtype=np.uint8))
-            self.eoffs_mm = (
-                np.memmap(os.path.join(leaf_dir, fp + "eoffs.bin"),
-                          dtype=np.uint8, mode="r")
-                if self.eoff_len.sum() > 0
-                else np.zeros(0, dtype=np.uint8))
+            self.soffs_mm = _bytes_view(leaf_dir, fp + "soffs.bin",
+                                        self.soff_len)
+            self.eoffs_mm = _bytes_view(leaf_dir, fp + "eoffs.bin",
+                                        self.eoff_len)
         self.norms = np.frombuffer(
             open(os.path.join(leaf_dir, fp + "norms.bin"), "rb").read(),
             dtype=np.uint8
@@ -261,11 +277,46 @@ class LeafSearcher:
         o = int(self.off[ti])
         return self.postings_mm[o : o + int(self.len[ti])]
 
+    def is_decoded(self, ti: int) -> bool:
+        """Whether term ``ti``'s postings are in the decoded cache."""
+        return (self._seg_key, ti) in _DECODED
+
+    def decoded(self, ti: int) -> tuple[np.ndarray, ...]:
+        """Term ``ti``'s decoded postings: (docids, tfs), plus (flat
+        positions, per-doc starts into flat) when the field has positions.
+        Read-only arrays from the process-wide cache; decoded on a miss."""
+        key = (self._seg_key, ti)
+        hit = _DECODED.get(key)
+        if hit is not None:
+            _DECODED.move_to_end(key)
+            _DECODED_STATS["hits"] += 1
+            return hit
+        _DECODED_STATS["misses"] += 1
+        docids, tfs = decode_blob(self.blob(ti))
+        entry = (docids, tfs)
+        if self.has_positions:
+            po = int(self.pos_off[ti])
+            flat = decode_positions_blob(
+                self.positions_mm[po : po + int(self.pos_len[ti])])
+            starts = np.zeros(len(tfs) + 1, dtype=np.int64)
+            np.cumsum(tfs, out=starts[1:])
+            entry = (docids, tfs, flat, starts)
+        for a in entry:
+            a.flags.writeable = False
+        _DECODED[key] = entry
+        _DECODED_STATS["bytes"] += sum(a.nbytes for a in entry)
+        while _DECODED_STATS["bytes"] > _DECODED_MAX_BYTES:
+            _, old = _DECODED.popitem(last=False)
+            _DECODED_STATS["bytes"] -= sum(a.nbytes for a in old)
+            _DECODED_STATS["evictions"] += 1
+        return entry
+
     def postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:
+        """-> (docids, tfs), read-only."""
         ti = self.lookup(term)
         if ti < 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint32)
-        return decode_blob(self.blob(ti))
+        return self.decoded(ti)[:2]
 
     def chunks(self, term: str):
         ti = self.lookup(term)
@@ -274,20 +325,15 @@ class LeafSearcher:
     def postings_with_positions(
         self, term: str
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """-> (docids, tfs, flat positions, per-doc start offsets into flat).
-        Doc d's positions are flat[starts[i]:starts[i+1]] where i is the index
-        of d in docids."""
+        """-> (docids, tfs, flat positions, per-doc start offsets into flat),
+        read-only. Doc d's positions are flat[starts[i]:starts[i+1]] where i
+        is the index of d in docids."""
         ti = self.lookup(term)
         if ti < 0 or not self.has_positions:
             e = np.empty(0, dtype=np.int64)
             return e, np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.uint32), \
                 np.zeros(1, dtype=np.int64)
-        docids, tfs = decode_blob(self.blob(ti))
-        po = int(self.pos_off[ti])
-        flat = decode_positions_blob(self.positions_mm[po : po + int(self.pos_len[ti])])
-        starts = np.zeros(len(tfs) + 1, dtype=np.int64)
-        np.cumsum(tfs, out=starts[1:])
-        return docids, tfs, flat, starts
+        return self.decoded(ti)
 
     def postings_with_payloads(
         self, term: str
@@ -460,12 +506,12 @@ def _const_docs(leaf: LeafSearcher, ti_range: tuple[int, int]) -> np.ndarray:
     s, e = ti_range
     if s >= e:
         return np.empty(0, dtype=np.int64)
-    parts = [decode_blob(leaf.blob(ti))[0] for ti in range(s, e)]
+    parts = [leaf.decoded(ti)[0] for ti in range(s, e)]
     return np.unique(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
 
 
 def _const_docs_of(leaf: LeafSearcher, tis: list[int]) -> np.ndarray:
-    parts = [decode_blob(leaf.blob(ti))[0] for ti in tis]
+    parts = [leaf.decoded(ti)[0] for ti in tis]
     return np.unique(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
 
 
@@ -1571,18 +1617,19 @@ def gather_tfs(
 def _tfs_for_targets(
     leaf: LeafSearcher, term: str, targets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Adaptive advance: block-selective decode when the candidate set is
-    sparse relative to the term's block count, full decode + searchsorted
-    when it is dense (where skipping would decode everything anyway, with
-    per-block overhead on top)."""
+    """Adaptive advance: searchsorted on the cached decoded postings when
+    the term is cached or the candidate set is dense relative to the term's
+    block count (where skipping would decode everything anyway, with
+    per-block overhead on top); otherwise a block-selective decode that
+    leaves the cache alone."""
     ti = leaf.lookup(term)
     if ti < 0:
         return np.zeros(len(targets), dtype=bool), np.zeros(len(targets), np.uint32)
     df = int(leaf.df[ti])
     nblocks = (df + 127) // 128
-    if len(targets) < nblocks // 2:
+    if len(targets) < nblocks // 2 and not leaf.is_decoded(ti):
         return gather_tfs(leaf, term, targets)
-    d, t = leaf.postings(term)
+    d, t = leaf.decoded(ti)[:2]
     pos = np.searchsorted(d, targets)
     ok = pos < len(d)
     ok[ok] = d[pos[ok]] == targets[ok]

@@ -1,17 +1,22 @@
-"""``algo="wand"`` and ``execute_wand_or_fallback`` must give the exhaustive
-executor's top-k (docids AND float32 scores) and exact hit counts."""
+"""``algo="wand"`` must give the exhaustive executor's top-k (docids AND
+float32 scores) and exact hit counts, and the decoded-postings cache must
+not change what the scorer sees."""
+
+from collections import OrderedDict
 
 import numpy as np
 import pyarrow.parquet as pq
 import pytest
+
+from lucene_solr_old_ray.functions.codec import decode_blob
 
 from lucene_solr_old_ray.pipelines.build_index import build_index
 from lucene_solr_old_ray.pipelines.merge import merge_index
 from lucene_solr_old_ray.pipelines.search import gather_stats, search
 from lucene_solr_old_ray.queries import TermQuery, bool_query
 from lucene_solr_old_ray.sources.corpus import CorpusSpec, generate_corpus
+from lucene_solr_old_ray.stages import search as ss
 from lucene_solr_old_ray.stages.search import LeafSearcher, execute, top_k
-from lucene_solr_old_ray.stages.wand import execute_wand_or_fallback
 from lucene_solr_old_ray.state import manifest as mf
 
 K = 10
@@ -57,9 +62,11 @@ def test_wand_equals_exhaustive_pipeline(big_index):
             f"qid {qid}"
 
 
-def test_wand_randomized_postings(ray_session):
-    """Property check on raw block data: random tf/norm distributions, many
-    boundary shapes; WAND == exhaustive for every k."""
+def test_wand_randomized_postings(ray_session, monkeypatch):
+    """Property check on raw block data (random tf/norm distributions, many
+    boundary shapes): every term's cached decoded arrays equal a fresh
+    ``decode_blob`` of its postings, and a cold-cache ``execute`` and a warm
+    second one give bit-identical top-k for every k."""
     rng = np.random.default_rng(99)
     import pyarrow as pa
     import tempfile, os
@@ -84,9 +91,20 @@ def test_wand_randomized_postings(ray_session):
         for terms in (["w0"], ["w1", "w2"], ["w3", "w4", "w5", "w6"]):
             q = bool_query(shoulds=terms)
             ctx = gather_stats(idx, man, terms)
-            d_ex, s_ex = execute(q, leaf, ctx)
+            monkeypatch.setattr(ss, "_DECODED", OrderedDict())
+            misses = ss.decoded_cache_stats()["misses"]
+            d_cold, s_cold = execute(q, leaf, ctx)
+            assert ss.decoded_cache_stats()["misses"] == misses + len(terms)
+            d_warm, s_warm = execute(q, leaf, ctx)
+            assert ss.decoded_cache_stats()["misses"] == misses + len(terms)
             for k in (1, 3, 10, 50):
-                d_t, s_t = top_k(d_ex, s_ex, k)
-                d_w, s_w, _ = execute_wand_or_fallback(q, leaf, ctx, k)
-                assert d_w.tolist() == d_t.tolist(), (terms, k)
-                np.testing.assert_array_equal(s_w, s_t)
+                d_c, s_c = top_k(d_cold, s_cold, k)
+                d_w, s_w = top_k(d_warm, s_warm, k)
+                assert d_w.tolist() == d_c.tolist(), (terms, k)
+                np.testing.assert_array_equal(s_w, s_c)
+        for ti in range(leaf.nterms):
+            d, t = decode_blob(leaf.blob(ti))
+            cached = leaf.decoded(ti)
+            np.testing.assert_array_equal(cached[0], d)
+            np.testing.assert_array_equal(cached[1], t)
+            assert cached[0].dtype == d.dtype and cached[1].dtype == t.dtype
