@@ -194,15 +194,13 @@ def expression_sort(
     import ray
     import ray.data
 
-    from .pipelines.search import gather_stats, leaf_dataset, open_leaf
-    from .queries import collect_field_terms, collect_terms
+    from .pipelines.search import leaf_dataset, open_leaf, plan_queries
     from .state import manifest as mf
 
     e = compile_expression(expr) if isinstance(expr, str) else expr
     binds = dict(bindings or {})
     manifest = mf.read_index_manifest(index_dir)
-    ctx = gather_stats(index_dir, manifest, sorted(collect_terms(query)),
-                       field_terms=sorted(collect_field_terms(query)))
+    [(_, query)], ctx = plan_queries(index_dir, manifest, [query])
     bcast = ray.put((query, ctx, e, binds, k))
 
     def leaf_topk(batch: pd.DataFrame) -> pd.DataFrame:

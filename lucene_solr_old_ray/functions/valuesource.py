@@ -39,7 +39,7 @@ the Java float evaluation order:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -206,7 +206,7 @@ class Ord:
     missing ord) is resolved by the search pre-pass."""
 
     field: str
-    _global: object = None  # filled by resolve_toplevel
+    _global: object = None  # filled by pipelines.search.plan_queries
 
 
 @dataclass(frozen=True)
@@ -244,16 +244,33 @@ def needs_toplevel(vs) -> bool:
     return False
 
 
-def _children(vs):
-    if isinstance(vs, (Sum, Product, Max, Min)):
-        return vs.operands
-    if isinstance(vs, (Div, Pow)):
-        return (vs.a, vs.b)
-    if isinstance(vs, (Linear, Reciprocal, RangeMap, Scale)):
-        return (vs.source,)
-    if isinstance(vs, If):
-        return (vs.cond, vs.true_vs, vs.false_vs)
-    return ()
+# the value-source-valued fields of each function node (a tuple field holds
+# several operands)
+_CHILD_FIELDS: dict[type, tuple[str, ...]] = {
+    Sum: ("operands",), Product: ("operands",),
+    Max: ("operands",), Min: ("operands",),
+    Div: ("a", "b"), Pow: ("a", "b"),
+    Linear: ("source",), Reciprocal: ("source",), RangeMap: ("source",),
+    Scale: ("source",),
+    If: ("cond", "true_vs", "false_vs"),
+}
+
+
+def _children(vs) -> list:
+    out = []
+    for f in _CHILD_FIELDS.get(type(vs), ()):
+        v = getattr(vs, f)
+        out.extend(v if isinstance(v, tuple) else (v,))
+    return out
+
+
+def map_children(vs, fn):
+    """``vs`` with ``fn`` applied to each child value source."""
+    changes = {}
+    for f in _CHILD_FIELDS.get(type(vs), ()):
+        v = getattr(vs, f)
+        changes[f] = tuple(map(fn, v)) if isinstance(v, tuple) else fn(v)
+    return replace(vs, **changes)
 
 
 def collect_vs_terms(vs) -> set:
@@ -262,10 +279,9 @@ def collect_vs_terms(vs) -> set:
     if isinstance(vs, (DocFreq, TotalTermFreq, IDF, TF, TermFreq)):
         out.add((vs.field, vs.term))
     if isinstance(vs, QueryScore):
-        from ..queries import collect_field_terms, collect_terms
+        from ..queries import collect_stats_terms
 
-        out |= {(None, t) for t in collect_terms(vs.query)}
-        out |= set(collect_field_terms(vs.query))
+        out |= collect_stats_terms(vs.query)
     for child in _children(vs):
         out |= collect_vs_terms(child)
     return out
@@ -392,8 +408,8 @@ def evaluate(vs, leaf, ctx, docids: np.ndarray) -> np.ndarray:
     if isinstance(vs, (Ord, ReverseOrd)):
         if vs._global is None:
             raise ValueError(
-                "Ord/ReverseOrd need the top-level ordinal map — run the "
-                "query through pipelines.search (resolve_toplevel)")
+                "Ord/ReverseOrd need the top-level ordinal map — plan the "
+                "query with pipelines.search.plan_queries")
         leaf_to_global, num_ord = vs._global
         ords = np.asarray(leaf.dv_sorted(vs.field)[0])[docids]
         mapping = leaf_to_global[leaf.ord]
@@ -404,8 +420,8 @@ def evaluate(vs, leaf, ctx, docids: np.ndarray) -> np.ndarray:
     if isinstance(vs, Scale):
         if vs._bounds is None:
             raise ValueError(
-                "Scale needs top-level min/max — run the query through "
-                "pipelines.search (resolve_toplevel)")
+                "Scale needs top-level min/max — plan the query with "
+                "pipelines.search.plan_queries")
         lo, hi = vs._bounds
         x = evaluate(vs.source, leaf, ctx, docids)
         span = F(hi) - F(lo)

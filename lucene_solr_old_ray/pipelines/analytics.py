@@ -18,18 +18,17 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ..queries import Query, collect_field_terms, collect_terms
+from ..queries import Query
 from ..stages.search import LeafSearcher, execute
 from ..state import manifest as mf
-from .search import gather_stats, leaf_dataset, open_leaf
+from .search import leaf_dataset, open_leaf, plan_queries
 
 
 def facet_counts(index_dir: str, query: Query, facet_col: str) -> pa.Table:
     """Count matching docs per value of a docmap column
     (``lucene/facet`` sorted-set counting analogue). -> (value, count)."""
     manifest = mf.read_index_manifest(index_dir)
-    ctx = gather_stats(index_dir, manifest, sorted(collect_terms(query)),
-                       field_terms=sorted(collect_field_terms(query)))
+    [(_, query)], ctx = plan_queries(index_dir, manifest, [query])
     ctx_ref = ray.put(ctx)
     q_ref = ray.put(query)
 
@@ -84,8 +83,7 @@ def group_facet_counts(
     from ..state import docvalues as dvals
 
     manifest = mf.read_index_manifest(index_dir)
-    ctx = gather_stats(index_dir, manifest, sorted(collect_terms(query)),
-                       field_terms=sorted(collect_field_terms(query)))
+    [(_, query)], ctx = plan_queries(index_dir, manifest, [query])
     ctx_ref = ray.put(ctx)
     q_ref = ray.put(query)
 
@@ -222,9 +220,8 @@ def facet_counts_complement(
     used_complements)."""
     manifest = mf.read_index_manifest(index_dir)
     num_docs = manifest["stats"]["max_doc"]
-    # phase 1: cheap global match count (control-plane, like gather_stats)
-    ctx = gather_stats(index_dir, manifest, sorted(collect_terms(query)),
-                       field_terms=sorted(collect_field_terms(query)))
+    # phase 1: cheap global match count
+    [(_, query)], ctx = plan_queries(index_dir, manifest, [query])
     ctx_ref = ray.put(ctx)
     q_ref = ray.put(query)
 
@@ -292,8 +289,7 @@ def facet_counts_set(index_dir: str, query: Query, facet_col: str) -> pa.Table:
     SortedSetDocValuesFacetCounts.java:58``): each doc contributes each of
     its set's values once. -> (value, count) sorted by value."""
     manifest = mf.read_index_manifest(index_dir)
-    ctx = gather_stats(index_dir, manifest, sorted(collect_terms(query)),
-                       field_terms=sorted(collect_field_terms(query)))
+    [(_, query)], ctx = plan_queries(index_dir, manifest, [query])
     ctx_ref = ray.put(ctx)
     q_ref = ray.put(query)
 
@@ -351,8 +347,7 @@ def facet_counts_hierarchical(
     (path, depth, count) per leaf, summed in one small groupby.
     -> (path, depth, count) sorted by path."""
     manifest = mf.read_index_manifest(index_dir)
-    ctx = gather_stats(index_dir, manifest, sorted(collect_terms(query)),
-                       field_terms=sorted(collect_field_terms(query)))
+    [(_, query)], ctx = plan_queries(index_dir, manifest, [query])
     ctx_ref = ray.put(ctx)
     q_ref = ray.put(query)
 
@@ -414,8 +409,7 @@ def facet_range_counts(
     one (label, count) row per range — constant-size regardless of corpus
     — summed in a tiny driver reduce. -> (label, count) in range order."""
     manifest = mf.read_index_manifest(index_dir)
-    ctx = gather_stats(index_dir, manifest, sorted(collect_terms(query)),
-                       field_terms=sorted(collect_field_terms(query)))
+    [(_, query)], ctx = plan_queries(index_dir, manifest, [query])
     ctx_ref = ray.put(ctx)
     bcast = ray.put((query, list(ranges)))
 
@@ -488,8 +482,7 @@ def facet_counts_sampled(
                          "count": pa.array(t["count"], pa.int64())})
 
     manifest = mf.read_index_manifest(index_dir)
-    ctx = gather_stats(index_dir, manifest, sorted(collect_terms(query)),
-                       field_terms=sorted(collect_field_terms(query)))
+    [(_, query)], ctx = plan_queries(index_dir, manifest, [query])
     ctx_ref = ray.put(ctx)
     bcast = ray.put((query, facet_col, float(sample_ratio), int(seed),
                      fixer == "takmi"))
@@ -646,8 +639,7 @@ def sort_by_fields(
     the global answer -> exact driver reduce.
     -> (rank, docid, key columns...)."""
     manifest = mf.read_index_manifest(index_dir)
-    ctx = gather_stats(index_dir, manifest, sorted(collect_terms(query)),
-                       field_terms=sorted(collect_field_terms(query)))
+    [(_, query)], ctx = plan_queries(index_dir, manifest, [query])
     ctx_ref = ray.put(ctx)
     bcast = ray.put((query, list(keys), after))
     names = [f for f, _ in keys]
@@ -717,8 +709,7 @@ def group_topk(
     ``grouping/function`` collectors — grouped by the computed value).
     -> (group value, rank, docid, score)."""
     manifest = mf.read_index_manifest(index_dir)
-    ctx = gather_stats(index_dir, manifest, sorted(collect_terms(query)),
-                       field_terms=sorted(collect_field_terms(query)))
+    [(_, query)], ctx = plan_queries(index_dir, manifest, [query])
     ctx_ref = ray.put(ctx)
     q_ref = ray.put(query)
     name = _group_name(group_col)
@@ -788,11 +779,9 @@ def group_topk_two_pass(
     -> (group value, grp_rank, rank, docid, score). Like the reference's
     two-pass collectors, the query is executed twice (CachingCollector is
     the reference's own mitigation)."""
-    from .search import gather_stats
 
     manifest = mf.read_index_manifest(index_dir)
-    ctx = gather_stats(index_dir, manifest, sorted(collect_terms(query)),
-                       field_terms=sorted(collect_field_terms(query)))
+    [(_, query)], ctx = plan_queries(index_dir, manifest, [query])
     ctx_ref = ray.put(ctx)
     q_ref = ray.put(query)
 
@@ -901,8 +890,7 @@ def match_doc_ids(index_dir: str, query: Query) -> pa.Table:
     (constant-score / filter semantics). Partial per-leaf sets concatenate
     without a shuffle because leaves partition the docID space."""
     manifest = mf.read_index_manifest(index_dir)
-    ctx = gather_stats(index_dir, manifest, sorted(collect_terms(query)),
-                       field_terms=sorted(collect_field_terms(query)))
+    [(_, query)], ctx = plan_queries(index_dir, manifest, [query])
     ctx_ref = ray.put(ctx)
     q_ref = ray.put(query)
 
@@ -933,8 +921,7 @@ def collect_hits(index_dir: str, query: Query, collector) -> pa.Table:
     ascend); the per-leaf frames concatenate into the result. The callable
     must be serializable (it is broadcast to the actor pool)."""
     manifest = mf.read_index_manifest(index_dir)
-    ctx = gather_stats(index_dir, manifest, sorted(collect_terms(query)),
-                       field_terms=sorted(collect_field_terms(query)))
+    [(_, query)], ctx = plan_queries(index_dir, manifest, [query])
     bcast = ray.put((ctx, query, collector))
 
     def leaf_collect(batch: pd.DataFrame) -> pd.DataFrame:
@@ -961,8 +948,7 @@ def sort_by_field(
     top-k by (field, docid) partials -> exact driver reduce.
     -> (rank, docid, field value)."""
     manifest = mf.read_index_manifest(index_dir)
-    ctx = gather_stats(index_dir, manifest, sorted(collect_terms(query)),
-                       field_terms=sorted(collect_field_terms(query)))
+    [(_, query)], ctx = plan_queries(index_dir, manifest, [query])
     ctx_ref = ray.put(ctx)
     q_ref = ray.put(query)
 
@@ -1010,8 +996,7 @@ def export_matches(index_dir: str, query: Query, out_dir: str) -> int:
     import pyarrow.parquet as pq_
 
     manifest = mf.read_index_manifest(index_dir)
-    ctx = gather_stats(index_dir, manifest, sorted(collect_terms(query)),
-                       field_terms=sorted(collect_field_terms(query)))
+    [(_, query)], ctx = plan_queries(index_dir, manifest, [query])
     ctx_ref = ray.put(ctx)
     q_ref = ray.put(query)
     os.makedirs(out_dir, exist_ok=True)
@@ -1047,8 +1032,7 @@ def export_matches(index_dir: str, query: Query, out_dir: str) -> int:
 def count_matches(index_dir: str, query: Query) -> int:
     """totalHits across the index (partial counts per leaf, summed)."""
     manifest = mf.read_index_manifest(index_dir)
-    ctx = gather_stats(index_dir, manifest, sorted(collect_terms(query)),
-                       field_terms=sorted(collect_field_terms(query)))
+    [(_, query)], ctx = plan_queries(index_dir, manifest, [query])
     ctx_ref = ray.put(ctx)
     q_ref = ray.put(query)
 
@@ -1207,8 +1191,7 @@ def facet_sum_associations(
     Same constant-size per-leaf partial shape as ``facet_counts``
     (bincount with weights). -> (value, sum)."""
     manifest = mf.read_index_manifest(index_dir)
-    ctx = gather_stats(index_dir, manifest, sorted(collect_terms(query)),
-                       field_terms=sorted(collect_field_terms(query)))
+    [(_, query)], ctx = plan_queries(index_dir, manifest, [query])
     ctx_ref = ray.put(ctx)
     q_ref = ray.put(query)
 
@@ -1258,8 +1241,7 @@ def all_groups_count(index_dir: str, query: Query,
     (FunctionAllGroupsCollector). Per-leaf partial = that leaf's
     distinct matched values only."""
     manifest = mf.read_index_manifest(index_dir)
-    ctx = gather_stats(index_dir, manifest, sorted(collect_terms(query)),
-                       field_terms=sorted(collect_field_terms(query)))
+    [(_, query)], ctx = plan_queries(index_dir, manifest, [query])
     ctx_ref = ray.put(ctx)
     q_ref = ray.put(query)
 
@@ -1294,8 +1276,7 @@ def group_heads(index_dir: str, query: Query, group_field: str,
     Per-leaf partial = one head per group per leaf; exact driver reduce.
     -> (group, docid, sort value), ordered by group."""
     manifest = mf.read_index_manifest(index_dir)
-    ctx = gather_stats(index_dir, manifest, sorted(collect_terms(query)),
-                       field_terms=sorted(collect_field_terms(query)))
+    [(_, query)], ctx = plan_queries(index_dir, manifest, [query])
     ctx_ref = ray.put(ctx)
     q_ref = ray.put(query)
 
@@ -1348,8 +1329,7 @@ def distinct_values(index_dir: str, query: Query, group_field: str,
     DISTINCT ``count_field`` values among matches.  Per-leaf partial =
     distinct (group, value) pairs. -> (group, distinct_count)."""
     manifest = mf.read_index_manifest(index_dir)
-    ctx = gather_stats(index_dir, manifest, sorted(collect_terms(query)),
-                       field_terms=sorted(collect_field_terms(query)))
+    [(_, query)], ctx = plan_queries(index_dir, manifest, [query])
     ctx_ref = ray.put(ctx)
     q_ref = ray.put(query)
 

@@ -65,10 +65,9 @@ def block_join_top_groups(
     import ray
     import ray.data
 
-    from ..queries import collect_field_terms, collect_terms
     from ..stages.search import execute
     from .analytics import sort_by_fields
-    from .search import gather_stats, leaf_dataset, open_leaf, search
+    from .search import leaf_dataset, open_leaf, plan_queries, search
 
     if parent_sort:
         res = sort_by_fields(index_dir, q, parent_sort,
@@ -96,15 +95,13 @@ def block_join_top_groups(
     wgs_fields = [f for f, _ in (within_group_sort or [])]
 
     manifest = mf.read_index_manifest(index_dir)
-    pq_term = TermQuery(q.parent_value, field=q.parent_field)
-    terms = sorted(collect_terms(q.child) | collect_terms(pq_term))
-    fterms = sorted(collect_field_terms(q.child)
-                    | collect_field_terms(pq_term))
-    ctx = gather_stats(index_dir, manifest, terms, field_terms=fterms)
-    bcast = ray.put((ctx, q, wanted))
+    [(_, child), (_, parent)], ctx = plan_queries(
+        index_dir, manifest,
+        [q.child, TermQuery(q.parent_value, field=q.parent_field)])
+    bcast = ray.put((ctx, child, parent, q.boost, wanted))
 
     def leaf_children(batch: pd.DataFrame) -> pd.DataFrame:
-        ctx_l, q_l, wanted_l = ray.get(bcast)
+        ctx_l, child_l, parent_l, boost_l, wanted_l = ray.get(bcast)
         parts = []
         for row in batch.to_dict("records"):
             base = int(row["doc_base"])
@@ -114,10 +111,8 @@ def block_join_top_groups(
             if lo == hi:
                 continue  # no selected parent lives in this leaf
             leaf = open_leaf(index_dir, row)
-            parents, _ = execute(
-                TermQuery(q_l.parent_value, field=q_l.parent_field),
-                leaf, ctx_l)
-            cd, cs = execute(q_l.child, leaf, ctx_l, q_l.boost)
+            parents, _ = execute(parent_l, leaf, ctx_l)
+            cd, cs = execute(child_l, leaf, ctx_l, boost_l)
             if len(cd) == 0 or len(parents) == 0:
                 continue
             idx = np.searchsorted(parents, cd, side="left")
@@ -209,15 +204,12 @@ def block_grouping_top_groups(
     import ray
     import ray.data
 
-    from .search import gather_stats, leaf_dataset, open_leaf
-    from ..queries import collect_field_terms, collect_terms
+    from .search import leaf_dataset, open_leaf, plan_queries
     from ..stages.search import execute
 
     manifest = mf.read_index_manifest(index_dir)
-    terms = sorted(collect_terms(query) | collect_terms(group_end_query))
-    fterms = sorted(collect_field_terms(query)
-                    | collect_field_terms(group_end_query))
-    ctx = gather_stats(index_dir, manifest, terms, field_terms=fterms)
+    [(_, query), (_, group_end_query)], ctx = plan_queries(
+        index_dir, manifest, [query, group_end_query])
     ctx_ref = ray.put(ctx)
     q_ref = ray.put((query, group_end_query))
 
@@ -325,22 +317,19 @@ def sort_parents_by_child_field(
     import ray
     import ray.data
 
-    from ..queries import collect_field_terms, collect_terms
     from ..stages.search import execute
-    from .search import gather_stats, leaf_dataset, open_leaf
+    from .search import leaf_dataset, open_leaf, plan_queries
 
     highest = reverse if order is None else order
     ascending = not reverse
     na_pos = "first" if ascending else "last"  # null == lowest value
 
     manifest = mf.read_index_manifest(index_dir)
-    terms = sorted(collect_terms(q) | (collect_terms(child_filter)
-                                       if child_filter is not None else set()))
-    fterms = sorted(collect_field_terms(q)
-                    | (collect_field_terms(child_filter)
-                       if child_filter is not None else set()))
-    ctx = gather_stats(index_dir, manifest, terms, field_terms=fterms)
-    bcast = ray.put((ctx, q, child_filter))
+    planned, ctx = plan_queries(
+        index_dir, manifest,
+        {0: q} if child_filter is None else {0: q, 1: child_filter})
+    planned = dict(planned)
+    bcast = ray.put((ctx, planned[0], planned.get(1)))
 
     def leaf_topk(batch: pd.DataFrame) -> pd.DataFrame:
         ctx_l, q_l, cf = ray.get(bcast)

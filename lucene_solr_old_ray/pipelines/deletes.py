@@ -31,11 +31,11 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from ..queries import Query, collect_field_terms, collect_terms
+from ..queries import Query
 from ..stages.search import execute
 from ..state import docvalues as dv
 from ..state import manifest as mf
-from .search import gather_stats, leaf_dataset, open_leaf
+from .search import leaf_dataset, open_leaf, plan_queries
 
 
 def delete_by_query(index_dir: str, query: Query) -> dict:
@@ -44,8 +44,7 @@ def delete_by_query(index_dir: str, query: Query) -> dict:
     gen = manifest["generation"] + 1
     out_dir = os.path.join(index_dir, "deletes", f"g{gen}")
     os.makedirs(out_dir, exist_ok=True)
-    ctx = gather_stats(index_dir, manifest, sorted(collect_terms(query)),
-                       field_terms=sorted(collect_field_terms(query)))
+    [(_, query)], ctx = plan_queries(index_dir, manifest, [query])
     ctx_ref = ray.put(ctx)
     q_ref = ray.put(query)
 

@@ -24,6 +24,14 @@ exchange, top-level value sources), ``leaf_stats`` / ``sum_stats`` /
 ``merge_top_docs``. Leaves are ``state.manifest.leaf_rows`` rows, opened with
 ``open_leaf``.
 
+``plan_queries`` is the one plan: ``search()``, ``SearchService.query``
+and every other pass that executes a query per leaf (the analytics
+facets/grouping/sorting/counting passes, ``delete_by_query``,
+``pk_split``, solrstats, the sorted-index, spatial, expression and
+block-join collectors, span highlighting) call it and execute the PLANNED
+queries. Its tree walks fold over ``queries.SUBQUERY_FIELDS``, so every
+compound type is planned the same way.
+
 Scale notes: the shuffle-free design holds at 10^12 docs — queries and stats
 are broadcast (small), per-leaf top-k rows are k × leaves × queries (small);
 actors hold term dictionaries in heap, read postings from read-only mmaps,
@@ -33,6 +41,7 @@ and decode each term's postings once per process into a byte-bounded LRU
 
 from __future__ import annotations
 
+import functools
 import os
 from collections import OrderedDict
 from typing import Sequence
@@ -49,32 +58,21 @@ from ..functions import bm25
 from ..queries import (
     MUST,
     SHOULD,
+    VALUE_SOURCE_FIELD,
     BooleanClause,
     BooleanQuery,
     CommonTermsQuery,
-    ConstantScoreQuery,
-    BoostingQuery,
-    CustomScoreQuery,
-    SpanFirstQuery,
-    SpanMultiTermQueryWrapper,
-    SpanNearQuery,
-    SpanNotQuery,
-    SpanOrQuery,
-    SpanPositionRangeQuery,
-    SpanTermQuery,
-    DisjunctionMaxQuery,
-    FilteredQuery,
     FuzzyQuery,
-    PrefixQuery,
     Query,
-    RegexpQuery,
+    SpanMultiTermQueryWrapper,
+    SpanOrQuery,
+    SpanTermQuery,
     TermQuery,
-    ToChildBlockJoinQuery,
-    ToParentBlockJoinQuery,
-    WildcardQuery,
-    collect_field_terms,
-    collect_terms,
-    needs_rewrite,
+    collect_stats_terms,
+    map_subqueries,
+    rewrite_target,
+    subqueries,
+    value_source,
 )
 from ..stages.search import (
     LeafSearcher,
@@ -321,9 +319,6 @@ def _resolve_vs_toplevel(index_dir: str, manifest: dict, qitems, ctx):
     import dataclasses
 
     from ..functions import valuesource as vsrc
-    from ..queries import (BooleanClause, BooleanQuery, ConstantScoreQuery,
-                           CustomScoreQuery, DisjunctionMaxQuery,
-                           FilteredQuery, FunctionQuery)
 
     # 1) find unresolved nodes
     scale_specs: list = []
@@ -343,20 +338,11 @@ def _resolve_vs_toplevel(index_dir: str, manifest: dict, qitems, ctx):
                 scan_vs(c)
 
     def scan_q(q):
-        if isinstance(q, (FunctionQuery, CustomScoreQuery)) \
-                and not isinstance(q.field, str):
-            scan_vs(q.field)
-        if isinstance(q, BooleanQuery):
-            for c in q.clauses:
-                scan_q(c.query)
-        elif isinstance(q, DisjunctionMaxQuery):
-            for d in q.disjuncts:
-                scan_q(d)
-        elif isinstance(q, FilteredQuery):
-            scan_q(q.query)
-            scan_q(q.filter)
-        elif isinstance(q, (ConstantScoreQuery, CustomScoreQuery)):
-            scan_q(q.query)
+        vs = value_source(q)
+        if vs is not None:
+            scan_vs(vs)
+        for c in subqueries(q):
+            scan_q(c)
 
     for _, q in qitems:
         scan_q(q)
@@ -400,113 +386,34 @@ def _resolve_vs_toplevel(index_dir: str, manifest: dict, qitems, ctx):
 
     # 3) rebuild the trees with resolved nodes
     def fix_vs(vs):
-        if isinstance(vs, vsrc.Scale):
-            src = fix_vs(vs.source)
-            b = scale_of.get(vs.source)
-            return dataclasses.replace(vs, source=src,
-                                       _bounds=b if b and b[0] is not None
-                                       else vs._bounds)
         if isinstance(vs, (vsrc.Ord, vsrc.ReverseOrd)) and vs._global is None:
             return dataclasses.replace(vs, _global=ord_global[vs.field])
-        if isinstance(vs, (vsrc.Sum, vsrc.Product, vsrc.Max, vsrc.Min)):
-            return dataclasses.replace(
-                vs, operands=tuple(fix_vs(o) for o in vs.operands))
-        if isinstance(vs, (vsrc.Div, vsrc.Pow)):
-            return dataclasses.replace(vs, a=fix_vs(vs.a), b=fix_vs(vs.b))
-        if isinstance(vs, (vsrc.Linear, vsrc.Reciprocal, vsrc.RangeMap)):
-            return dataclasses.replace(vs, source=fix_vs(vs.source))
-        if isinstance(vs, vsrc.If):
-            return dataclasses.replace(vs, cond=fix_vs(vs.cond),
-                                       true_vs=fix_vs(vs.true_vs),
-                                       false_vs=fix_vs(vs.false_vs))
-        return vs
+        fixed = vsrc.map_children(vs, fix_vs)
+        b = scale_of.get(vs.source) if isinstance(vs, vsrc.Scale) else None
+        if b and b[0] is not None:
+            fixed = dataclasses.replace(fixed, _bounds=b)
+        return fixed
 
     def fix_q(q):
-        if isinstance(q, FunctionQuery) and not isinstance(q.field, str):
-            return dataclasses.replace(q, field=fix_vs(q.field))
-        if isinstance(q, CustomScoreQuery):
-            fixed = (q.field if isinstance(q.field, str)
-                     else fix_vs(q.field))
-            return dataclasses.replace(q, query=fix_q(q.query), field=fixed)
-        if isinstance(q, BooleanQuery):
-            return dataclasses.replace(q, clauses=tuple(
-                BooleanClause(c.occur, fix_q(c.query)) for c in q.clauses))
-        if isinstance(q, DisjunctionMaxQuery):
-            return dataclasses.replace(
-                q, disjuncts=tuple(fix_q(d) for d in q.disjuncts))
-        if isinstance(q, FilteredQuery):
-            return dataclasses.replace(q, query=fix_q(q.query),
-                                       filter=fix_q(q.filter))
-        if isinstance(q, ConstantScoreQuery):
-            return dataclasses.replace(q, query=fix_q(q.query))
-        return q
+        q = map_subqueries(q, fix_q)
+        vs = value_source(q)
+        if vs is None:
+            return q
+        return dataclasses.replace(q, **{VALUE_SOURCE_FIELD[type(q)]:
+                                         fix_vs(vs)})
 
     return [(qid, fix_q(q)) for qid, q in qitems]
 
 
-_MTQ_TYPES = (PrefixQuery, WildcardQuery, RegexpQuery, FuzzyQuery)
-
-
-def _collect_scoring_mtqs(q: Query, out: list) -> None:
-    if isinstance(q, _MTQ_TYPES) and q.rewrite == "scoring_boolean":
-        if q not in out:
-            out.append(q)
-    elif isinstance(q, SpanMultiTermQueryWrapper):
-        # the wrapper FORCES a rewrite regardless of the inner rewrite mode
-        if q.query not in out:
-            out.append(q.query)
-    elif isinstance(q, (SpanNearQuery, SpanOrQuery)):
-        for c in q.clauses:
-            _collect_scoring_mtqs(c, out)
-    elif isinstance(q, SpanNotQuery):
-        _collect_scoring_mtqs(q.include, out)
-        _collect_scoring_mtqs(q.exclude, out)
-    elif isinstance(q, (SpanFirstQuery, SpanPositionRangeQuery)):
-        _collect_scoring_mtqs(q.match, out)
-    elif isinstance(q, BooleanQuery):
-        for c in q.clauses:
-            _collect_scoring_mtqs(c.query, out)
-    elif isinstance(q, DisjunctionMaxQuery):
-        for d in q.disjuncts:
-            _collect_scoring_mtqs(d, out)
-    elif isinstance(q, FilteredQuery):
-        _collect_scoring_mtqs(q.query, out)
-        _collect_scoring_mtqs(q.filter, out)
-    elif isinstance(q, ConstantScoreQuery):
-        _collect_scoring_mtqs(q.query, out)
-    elif isinstance(q, CustomScoreQuery):
-        _collect_scoring_mtqs(q.query, out)
-    elif isinstance(q, BoostingQuery):
-        _collect_scoring_mtqs(q.match, out)
-        _collect_scoring_mtqs(q.context, out)
-    elif isinstance(q, ToParentBlockJoinQuery):
-        _collect_scoring_mtqs(q.child, out)
-    elif isinstance(q, ToChildBlockJoinQuery):
-        _collect_scoring_mtqs(q.parent, out)
-
-
-def _collect_common_terms(q: Query, out: list) -> None:
-    if isinstance(q, CommonTermsQuery):
-        if q not in out:
-            out.append(q)
-    elif isinstance(q, BooleanQuery):
-        for c in q.clauses:
-            _collect_common_terms(c.query, out)
-    elif isinstance(q, DisjunctionMaxQuery):
-        for d in q.disjuncts:
-            _collect_common_terms(d, out)
-    elif isinstance(q, FilteredQuery):
-        _collect_common_terms(q.query, out)
-        _collect_common_terms(q.filter, out)
-    elif isinstance(q, (ConstantScoreQuery, CustomScoreQuery)):
-        _collect_common_terms(q.query, out)
-    elif isinstance(q, BoostingQuery):
-        _collect_common_terms(q.match, out)
-        _collect_common_terms(q.context, out)
-    elif isinstance(q, ToParentBlockJoinQuery):
-        _collect_common_terms(q.child, out)
-    elif isinstance(q, ToChildBlockJoinQuery):
-        _collect_common_terms(q.parent, out)
+def _collect(q: Query, pick, out: list) -> list:
+    """Append ``pick(node)`` for every node of ``q``'s tree to ``out``
+    (pre-order, duplicates and None skipped) -> ``out``."""
+    n = pick(q)
+    if n is not None and n not in out:
+        out.append(n)
+    for c in subqueries(q):
+        _collect(c, pick, out)
+    return out
 
 
 def _common_to_bool(q: CommonTermsQuery, dfs: dict[str, int],
@@ -548,73 +455,31 @@ def rewrite_common_terms(
     control-plane stats pass shared by all of them)."""
     ctqs: list[CommonTermsQuery] = []
     for _, q in qitems:
-        _collect_common_terms(q, ctqs)
+        _collect(q, lambda n: n if isinstance(n, CommonTermsQuery) else None,
+                 ctqs)
     if not ctqs:
         return qitems
     terms = sorted({t for q in ctqs for t in q.terms})
     ctx = gather_stats(index_dir, manifest, terms)
     dfs = {t: st[0] for t, st in ctx.term_stats.items()}
     repl = {q: _common_to_bool(q, dfs, ctx.coll.max_doc) for q in ctqs}
-    return [(qid, _replace_mtqs(q, repl)) for qid, q in qitems]
+    return [(qid, _substitute(q, repl)) for qid, q in qitems]
 
 
-def _replace_mtqs(q: Query, repl: dict) -> Query:
-    if isinstance(q, _MTQ_TYPES) and q.rewrite == "scoring_boolean":
-        return repl[q]
-    if isinstance(q, CommonTermsQuery):
-        return repl.get(q, q)
-    if isinstance(q, BooleanQuery):
-        return BooleanQuery(
-            tuple(BooleanClause(c.occur, _replace_mtqs(c.query, repl))
-                  for c in q.clauses),
-            q.min_should_match, q.boost)
-    if isinstance(q, DisjunctionMaxQuery):
-        return DisjunctionMaxQuery(
-            tuple(_replace_mtqs(d, repl) for d in q.disjuncts),
-            q.tie_breaker, q.boost)
-    if isinstance(q, FilteredQuery):
-        return FilteredQuery(_replace_mtqs(q.query, repl),
-                             _replace_mtqs(q.filter, repl), q.boost)
-    if isinstance(q, ConstantScoreQuery):
-        return ConstantScoreQuery(_replace_mtqs(q.query, repl), q.boost)
-    if isinstance(q, CustomScoreQuery):
-        return CustomScoreQuery(_replace_mtqs(q.query, repl), q.field, q.boost)
+def _substitute(q: Query, repl: dict) -> Query:
+    """``q`` with each scoring MultiTermQuery and CommonTermsQuery replaced
+    by its rewrite in ``repl``, and each SpanMultiTermQueryWrapper by a
+    SpanOrQuery over its query's expansion."""
     if isinstance(q, SpanMultiTermQueryWrapper):
         exp = repl.get(q.query)
-        field = getattr(q.query, "field", None)
-        terms = (tuple(c.query.term for c in exp.clauses)
-                 if exp is not None and isinstance(exp, BooleanQuery)
-                 else ())
+        if exp is None:
+            return q
         return SpanOrQuery(tuple(
-            SpanTermQuery(t, field=field) for t in terms), q.boost)
-    if isinstance(q, SpanNearQuery):
-        return SpanNearQuery(tuple(_replace_mtqs(c, repl)
-                                   for c in q.clauses), q.slop,
-                             q.in_order, q.boost)
-    if isinstance(q, SpanOrQuery):
-        return SpanOrQuery(tuple(_replace_mtqs(c, repl)
-                                 for c in q.clauses), q.boost)
-    if isinstance(q, SpanNotQuery):
-        return SpanNotQuery(_replace_mtqs(q.include, repl),
-                            _replace_mtqs(q.exclude, repl), q.pre, q.post,
-                            q.boost)
-    if isinstance(q, SpanFirstQuery):
-        return SpanFirstQuery(_replace_mtqs(q.match, repl), q.end, q.boost)
-    if isinstance(q, SpanPositionRangeQuery):
-        return SpanPositionRangeQuery(_replace_mtqs(q.match, repl),
-                                      q.start, q.end, q.boost)
-    if isinstance(q, BoostingQuery):
-        return BoostingQuery(_replace_mtqs(q.match, repl),
-                             _replace_mtqs(q.context, repl), q.demote)
-    if isinstance(q, ToParentBlockJoinQuery):
-        return ToParentBlockJoinQuery(
-            _replace_mtqs(q.child, repl), q.parent_field, q.parent_value,
-            q.score_mode, q.boost)
-    if isinstance(q, ToChildBlockJoinQuery):
-        return ToChildBlockJoinQuery(
-            _replace_mtqs(q.parent, repl), q.parent_field, q.parent_value,
-            q.boost)
-    return q
+            SpanTermQuery(c.query.term, field=c.query.field)
+            for c in exp.clauses), q.boost)
+    if isinstance(q, CommonTermsQuery) or rewrite_target(q) is q:
+        return repl.get(q, q)
+    return map_subqueries(q, lambda c: _substitute(c, repl))
 
 
 def expansion_to_bool(q, terms: dict[str, int]) -> BooleanQuery:
@@ -661,12 +526,12 @@ def rewrite_queries(
     BooleanQuery expansions — IndexSearcher.rewrite against global vocab."""
     mtqs: list = []
     for _, q in qitems:
-        _collect_scoring_mtqs(q, mtqs)
+        _collect(q, rewrite_target, mtqs)
     if not mtqs:
         return qitems
     union = _expand_queries_globally(index_dir, manifest, mtqs)
     repl = {q: expansion_to_bool(q, union[i]) for i, q in enumerate(mtqs)}
-    return [(qid, _replace_mtqs(q, repl)) for qid, q in qitems]
+    return [(qid, _substitute(q, repl)) for qid, q in qitems]
 
 
 def _expand_queries_globally(index_dir: str, manifest: dict,
@@ -709,26 +574,24 @@ def gather_stats(
     return make_context(manifest, partials, similarity)
 
 
-def plan_queries(index_dir: str, manifest: dict,
-                 queries: Sequence[Query] | dict[int, Query],
-                 gather) -> tuple[list[tuple[int, Query]], SearchContext]:
-    """The plan every search runs before scoring, whatever its transport
-    (IndexSearcher.search: rewrite, then weights from collection stats):
-    scoring-MultiTermQuery rewrite, CommonTermsQuery rewrite, the stats
-    exchange ``gather(terms, field_terms) -> SearchContext``, then
-    top-level value-source resolution. -> (qid-sorted items, context)."""
+def plan_queries(
+    index_dir: str, manifest: dict,
+    queries: Sequence[Query] | dict[int, Query], gather=gather_stats,
+) -> tuple[list[tuple[int, Query]], SearchContext]:
+    """The plan every pass over the leaves runs before it executes a query,
+    whatever its transport (IndexSearcher.search: rewrite, then weights
+    from collection stats): scoring-MultiTermQuery rewrite, CommonTermsQuery
+    rewrite, the stats exchange ``gather(index_dir, manifest, terms,
+    field_terms=...) -> SearchContext``, then top-level value-source
+    resolution. -> (qid-sorted planned items, context); callers execute
+    the PLANNED queries."""
     if not isinstance(queries, dict):
         queries = dict(enumerate(queries))
-    qitems = sorted(queries.items())
-    if any(needs_rewrite(q) for _, q in qitems):
-        qitems = rewrite_queries(index_dir, manifest, qitems)
-    qitems = rewrite_common_terms(index_dir, manifest, qitems)
-    terms: set[str] = set()
-    fterms: set[tuple[str, str]] = set()
-    for _, q in qitems:
-        terms |= collect_terms(q)
-        fterms |= collect_field_terms(q)
-    ctx = gather(sorted(terms), sorted(fterms))
+    qitems = rewrite_common_terms(index_dir, manifest, rewrite_queries(
+        index_dir, manifest, sorted(queries.items())))
+    pairs = set().union(*(collect_stats_terms(q) for _, q in qitems))
+    ctx = gather(index_dir, manifest, sorted(t for f, t in pairs if f is None),
+                 field_terms=sorted(p for p in pairs if p[0] is not None))
     return _resolve_vs_toplevel(index_dir, manifest, qitems, ctx), ctx
 
 
@@ -756,8 +619,7 @@ def search(
     manifest = mf.read_index_manifest(index_dir)
     qitems, ctx = plan_queries(
         index_dir, manifest, queries,
-        lambda t, f: gather_stats(index_dir, manifest, t, similarity,
-                                  field_terms=f))
+        functools.partial(gather_stats, similarity=similarity))
 
     # fan out over (leaf × query-chunk) so few-shard indexes still parallelize
     n_chunks = max(1, min(len(qitems) // 8, 16))

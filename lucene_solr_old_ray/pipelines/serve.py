@@ -77,10 +77,11 @@ class SearchService:
         # warm: force actor construction (mmap + term dict load)
         ray.get([a.stats.remote([]) for a in self.actors])
 
-    def _gather(self, terms: list[str],
+    def _gather(self, index_dir: str, manifest: dict, terms: list[str],
                 field_terms: list[tuple[str, str]]) -> SearchContext:
-        """The stats exchange: one round trip to every actor."""
-        return make_context(self.manifest, ray.get(
+        """The stats exchange (``plan_queries``'s ``gather``): one round
+        trip to every actor."""
+        return make_context(manifest, ray.get(
             [a.stats.remote(terms, field_terms) for a in self.actors]))
 
     def query(self, queries: dict[int, Query] | list[Query], k: int = 10) -> pa.Table:

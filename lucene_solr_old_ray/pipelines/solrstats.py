@@ -37,17 +37,10 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ..queries import Query, collect_field_terms, collect_terms
+from ..queries import Query
 from ..state import manifest as mf
-from .search import gather_stats, leaf_dataset, open_leaf
+from .search import gather_stats, leaf_dataset, open_leaf, plan_queries
 from ..stages.search import execute
-
-
-def _gather(index_dir: str, query: Query):
-    manifest = mf.read_index_manifest(index_dir)
-    ctx = gather_stats(index_dir, manifest, sorted(collect_terms(query)),
-                       field_terms=sorted(collect_field_terms(query)))
-    return manifest, ctx
 
 
 def field_stats(
@@ -61,7 +54,8 @@ def field_stats(
     -> (facet_value, count, missing, min, max, sum, sum_sq, mean, stddev),
     sorted by facet_value with the overall row first.
     """
-    manifest, ctx = _gather(index_dir, query)
+    manifest = mf.read_index_manifest(index_dir)
+    [(_, query)], ctx = plan_queries(index_dir, manifest, [query])
     ctx_ref = ray.put(ctx)
     bcast = ray.put((query, field, facet_field))
 
@@ -168,7 +162,8 @@ def pivot_facets(
     """
     if not fields:
         raise ValueError("pivot_facets needs at least one field")
-    manifest, ctx = _gather(index_dir, query)
+    manifest = mf.read_index_manifest(index_dir)
+    [(_, query)], ctx = plan_queries(index_dir, manifest, [query])
     ctx_ref = ray.put(ctx)
     bcast = ray.put((query, list(fields)))
     _MISS = "\x00missing"

@@ -32,16 +32,11 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ..queries import (
-    MatchAllDocsQuery,
-    Query,
-    collect_field_terms,
-    collect_terms,
-)
+from ..queries import MatchAllDocsQuery, Query
 from ..sources.corpus import CorpusSpec
 from ..stages.search import execute
 from ..state import manifest as mf
-from .search import gather_stats, open_leaf
+from .search import open_leaf, plan_queries
 
 
 def build_sorted_index(
@@ -100,8 +95,7 @@ def early_terminating_sorted_topk(
             f"index is not sorted by ({field}, descending={descending}); "
             f"manifest sorted_by={sb!r} — early termination needs the "
             f"index sort to match the query sort")
-    ctx = gather_stats(index_dir, manifest, sorted(collect_terms(query)),
-                       field_terms=sorted(collect_field_terms(query)))
+    [(_, query)], ctx = plan_queries(index_dir, manifest, [query])
     ctx_ref = ray.put(ctx)
     q_ref = ray.put(query)
     items = mf.leaf_rows(index_dir, manifest)

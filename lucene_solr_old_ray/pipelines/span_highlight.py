@@ -73,7 +73,6 @@ from ..queries import (
     SpanPositionRangeQuery,
     SpanTermQuery,
     TermQuery,
-    needs_rewrite,
     ngram_phrase_rewrite,
     span_weight_terms,
 )
@@ -125,7 +124,7 @@ def extraction_events(query: Query) -> list[tuple]:
         elif isinstance(q, SpanMultiTermQueryWrapper):
             raise ValueError(
                 "SpanMultiTermQueryWrapper must be rewritten before "
-                "highlighting (rewrite_queries)")
+                "highlighting (pipelines.search.plan_queries)")
         elif isinstance(q, (SpanTermQuery, SpanNearQuery, SpanOrQuery,
                             SpanNotQuery, SpanFirstQuery,
                             SpanPositionRangeQuery, FieldMaskingSpanQuery,
@@ -422,11 +421,10 @@ def highlight_hits_span(
     import ray.data
 
     from ..functions.analysis import tokenize_with_offsets_positions
-    from .search import fetch_doc_meta, rewrite_queries, search
+    from .search import fetch_doc_meta, plan_queries, search
 
     manifest = mf.read_index_manifest(index_dir)
-    if needs_rewrite(query):
-        query = rewrite_queries(index_dir, manifest, [(0, query)])[0][1]
+    [(_, query)], _ = plan_queries(index_dir, manifest, [query])
     res = search(index_dir, {0: query}, k=k)
     empty = pa.table({"doc_id": pa.array([], pa.int64()),
                       "rank": pa.array([], pa.int64()),

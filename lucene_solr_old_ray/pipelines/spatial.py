@@ -35,7 +35,7 @@ from ..queries import (
     Query,
 )
 from ..state import manifest as mf
-from .search import leaf_dataset, open_leaf
+from .search import leaf_dataset, open_leaf, plan_queries
 
 EARTH_RADIUS_M = 6_371_008.7714  # spatial4j DistanceUtils.EARTH_MEAN_RADIUS
 
@@ -90,17 +90,11 @@ def distance_topk(
     if metric not in ("euclidean2", "haversine_m"):
         raise ValueError(f"unknown metric {metric!r}")
     manifest = mf.read_index_manifest(index_dir)
-    q_ref = ray.put(query)
+    ctx = None
     if query is not None:
-        from ..queries import collect_field_terms, collect_terms
-        from .search import gather_stats
-
-        ctx = gather_stats(index_dir, manifest,
-                           sorted(collect_terms(query)),
-                           field_terms=sorted(collect_field_terms(query)))
-        ctx_ref = ray.put(ctx)
-    else:
-        ctx_ref = ray.put(None)
+        [(_, query)], ctx = plan_queries(index_dir, manifest, [query])
+    q_ref = ray.put(query)
+    ctx_ref = ray.put(ctx)
 
     def leaf_topk(batch: pd.DataFrame) -> pd.DataFrame:
         from ..stages.search import execute
@@ -242,18 +236,12 @@ def _verify_shape(index_dir: str, xfield: str, yfield: str, cand_query,
     live-doc scan), read the numeric doc-values, keep docs passing the
     EXACT ``verify(xv, yv) -> bool mask`` -> (docid,) ascending."""
     manifest = mf.read_index_manifest(index_dir)
-    q_ref = ray.put(cand_query)
+    ctx = None
     if cand_query is not None:
-        from ..queries import collect_field_terms, collect_terms
-        from .search import gather_stats
-
-        ctx = gather_stats(index_dir, manifest,
-                           sorted(collect_terms(cand_query)),
-                           field_terms=sorted(
-                               collect_field_terms(cand_query)))
-        ctx_ref = ray.put(ctx)
-    else:
-        ctx_ref = ray.put(None)
+        [(_, cand_query)], ctx = plan_queries(index_dir, manifest,
+                                              [cand_query])
+    q_ref = ray.put(cand_query)
+    ctx_ref = ray.put(ctx)
     v_ref = ray.put(verify)
 
     def leaf_verify(batch: pd.DataFrame) -> pd.DataFrame:

@@ -28,10 +28,10 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from ..queries import Query, collect_field_terms, collect_terms
+from ..queries import Query
 from ..stages.search import execute
 from ..state import manifest as mf
-from .search import gather_stats, open_leaf
+from .search import open_leaf, plan_queries
 
 
 def _seg_stats(seg_abs_dir: str) -> tuple[int, dict[str, int]]:
@@ -184,8 +184,7 @@ def pk_split(index_dir: str, query: Query, out_matching: str,
     the rest -> second; existing tombstones respected in both."""
     man = mf.read_index_manifest(index_dir)
     items = mf.leaf_rows(index_dir, man)
-    ctx = gather_stats(index_dir, man, sorted(collect_terms(query)),
-                       field_terms=sorted(collect_field_terms(query)))
+    [(_, query)], ctx = plan_queries(index_dir, man, [query])
     ctx_ref = ray.put(ctx)
     q_ref = ray.put(query)
 

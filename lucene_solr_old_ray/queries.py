@@ -18,13 +18,17 @@ reference's QueryParser analyzes terms); a term that analyzes to nothing
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .functions.analysis import analyze_text
 
 MUST = "MUST"
 SHOULD = "SHOULD"
 MUST_NOT = "MUST_NOT"
+
+# a ``functions/valuesource.py`` node (the queries/function ValueSource
+# library); named for annotations only
+ValueSource = object
 
 
 @dataclass(frozen=True)
@@ -164,7 +168,7 @@ class FunctionQuery:
     source from ``functions/valuesource.py`` (the queries/function
     ValueSource library)."""
 
-    field: object  # str field name or a valuesource node
+    field: "str | ValueSource"
     boost: float = 1.0
 
 
@@ -178,7 +182,7 @@ class CustomScoreQuery:
     order)."""
 
     query: "Query"
-    field: object  # str NUMERIC dv field or a valuesource node
+    field: "str | ValueSource"  # a NUMERIC dv field name or a value source
     boost: float = 1.0
 
 
@@ -269,7 +273,7 @@ class BooleanFilterQuery:
     MUST_NOT with no positive clauses starts from ALL docs — unlike
     BooleanQuery, which matches nothing), then MUSTs and'd."""
 
-    clauses: tuple  # BooleanClause(occur, filter-query)
+    clauses: tuple[BooleanClause, ...]  # occur + filter-query
     boost: float = 1.0
 
 
@@ -282,8 +286,8 @@ class ChainedFilterQuery:
     filter's set, ANDNOT from its complement (both consume the first
     link), OR/XOR start from the empty set."""
 
-    filters: tuple
-    logic: tuple | str = "or"
+    filters: tuple["Query", ...]
+    logic: tuple[str, ...] | str = "or"
     boost: float = 1.0
 
 
@@ -310,8 +314,8 @@ class FieldCacheRangeFilterQuery:
     matches)."""
 
     field: str
-    lower: object = None
-    upper: object = None
+    lower: float | str | None = None
+    upper: float | str | None = None
     include_lower: bool = True
     include_upper: bool = True
     kind: str = "numeric"
@@ -356,7 +360,7 @@ class FunctionRangeQuery:
     so an frange spanning 0 matches docs without the field, exactly like
     Solr.  Compose under FilteredQuery/BooleanQuery like any filter."""
 
-    source: object  # str NUMERIC dv field or a valuesource node
+    source: "str | ValueSource"  # a NUMERIC dv field name or a value source
     lower: float | None = None
     upper: float | None = None
     include_lower: bool = True
@@ -512,11 +516,11 @@ class MultiPhraseQuery:
     once — the unique'd union). ``positions`` mirrors ``add(Term[], int)``
     (explicit slot positions require slop == 0, like PhraseQuery here)."""
 
-    terms: tuple  # tuple of per-slot tuples of alternative terms
+    terms: tuple[tuple[str, ...], ...]  # per-slot alternative terms
     slop: int = 0
     boost: float = 1.0
     field: str | None = None
-    positions: tuple | None = None
+    positions: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -536,7 +540,7 @@ class SpanNearQuery:
     ``NearSpansOrdered.java`` / ``NearSpansUnordered.java``). The field is
     taken from the clauses (all must agree)."""
 
-    clauses: tuple
+    clauses: tuple["Query", ...]
     slop: int = 0
     in_order: bool = True
     boost: float = 1.0
@@ -546,7 +550,7 @@ class SpanNearQuery:
 class SpanOrQuery:
     """Union of the clause spans (``search/spans/SpanOrQuery.java``)."""
 
-    clauses: tuple
+    clauses: tuple["Query", ...]
     boost: float = 1.0
 
 
@@ -592,7 +596,7 @@ class SpanMultiTermQueryWrapper:
     rewrite pass expands the wrapped prefix/wildcard/regexp/fuzzy query
     and substitutes a SpanOrQuery of SpanTermQueries — so the wrapper
     composes inside SpanNear/Or/Not like the reference.  Must be run
-    through ``rewrite_queries`` before span execution."""
+    through ``pipelines.search.plan_queries`` before span execution."""
 
     query: "Query"
     boost: float = 1.0
@@ -636,7 +640,7 @@ class SpanNearPayloadCheckQuery:
     collection walks)."""
 
     match: "SpanNearQuery"
-    payloads: tuple  # expected integer payloads (collection semantics)
+    payloads: tuple[int, ...]  # expected payloads (collection semantics)
     boost: float = 1.0
 
 
@@ -768,38 +772,111 @@ Query = (
 )
 
 
+# The query tree's shape, declared once: the fields of each compound type
+# that hold subqueries (a query, or a tuple of queries or BooleanClauses).
+# Every planner pass (MTQ and CommonTerms rewrites, the stats-term walk,
+# top-level value-source resolution) folds over this table.
+SUBQUERY_FIELDS: dict[type, tuple[str, ...]] = {
+    BooleanQuery: ("clauses",),
+    BooleanFilterQuery: ("clauses",),
+    DisjunctionMaxQuery: ("disjuncts",),
+    ChainedFilterQuery: ("filters",),
+    FilteredQuery: ("query", "filter"),
+    ConstantScoreQuery: ("query",),
+    CustomScoreQuery: ("query",),
+    DuplicateFilterQuery: ("query",),
+    BoostingQuery: ("match", "context"),
+    ToParentBlockJoinQuery: ("child",),
+    ToChildBlockJoinQuery: ("parent",),
+    SpanNearQuery: ("clauses",),
+    SpanOrQuery: ("clauses",),
+    SpanNotQuery: ("include", "exclude"),
+    SpanFirstQuery: ("match",),
+    SpanPositionRangeQuery: ("match",),
+    FieldMaskingSpanQuery: ("inner",),
+    PayloadNearQuery: ("match",),
+    SpanNearPayloadCheckQuery: ("match",),
+}
+
+# the field of each type that holds a value source (or a field name)
+VALUE_SOURCE_FIELD: dict[type, str] = {
+    FunctionQuery: "field",
+    CustomScoreQuery: "field",
+    FunctionRangeQuery: "source",
+}
+
+# query-valued fields the planner must NOT treat as subqueries:
+# FieldCacheRewriteQuery runs its query's term predicate over the doc-values
+# dictionary, and SpanMultiTermQueryWrapper's query is expanded as a whole
+# by the global MTQ rewrite (see :func:`rewrite_target`)
+OPAQUE_QUERY_FIELDS: dict[type, str] = {
+    FieldCacheRewriteQuery: "query",
+    SpanMultiTermQueryWrapper: "query",
+}
+
+
+def subqueries(q: "Query") -> list:
+    """The direct subqueries of ``q`` (clauses unwrapped), per
+    :data:`SUBQUERY_FIELDS`; [] for leaves and opaque types."""
+    out = []
+    for f in SUBQUERY_FIELDS.get(type(q), ()):
+        v = getattr(q, f)
+        for c in (v if isinstance(v, tuple) else (v,)):
+            out.append(c.query if isinstance(c, BooleanClause) else c)
+    return out
+
+
+def map_subqueries(q: "Query", fn) -> "Query":
+    """``q`` with ``fn`` applied to each direct subquery (a clause keeps its
+    occur); leaves and opaque types come back as they are."""
+    fields = SUBQUERY_FIELDS.get(type(q))
+    if not fields:
+        return q
+
+    def apply(v):
+        if not isinstance(v, tuple):
+            return fn(v)
+        return tuple(BooleanClause(c.occur, fn(c.query))
+                     if isinstance(c, BooleanClause) else fn(c) for c in v)
+
+    return replace(q, **{f: apply(getattr(q, f)) for f in fields})
+
+
+def value_source(q: "Query"):
+    """The value-source node ``q`` scores or filters by, per
+    :data:`VALUE_SOURCE_FIELD`; None for other types and for a plain
+    doc-values field name."""
+    f = VALUE_SOURCE_FIELD.get(type(q))
+    vs = getattr(q, f) if f else None
+    return None if isinstance(vs, str) else vs
+
+
+_MTQ_TYPES = (PrefixQuery, WildcardQuery, RegexpQuery, FuzzyQuery)
+
+_SPAN_TYPES = (SpanTermQuery, SpanNearQuery, SpanOrQuery, SpanNotQuery,
+               SpanFirstQuery, SpanPositionRangeQuery,
+               SpanMultiTermQueryWrapper, PayloadTermQuery,
+               SpanPayloadCheckQuery, SpanNearPayloadCheckQuery,
+               PayloadNearQuery, FieldMaskingSpanQuery)
+
+
+def rewrite_target(q: "Query"):
+    """The MultiTermQuery the global rewrite expands at node ``q``: a
+    scoring-rewrite Prefix/Wildcard/Regexp/Fuzzy query itself, or the query
+    a SpanMultiTermQueryWrapper wraps (the wrapper always expands); else
+    None."""
+    if isinstance(q, SpanMultiTermQueryWrapper):
+        return q.query
+    if isinstance(q, _MTQ_TYPES) and q.rewrite == "scoring_boolean":
+        return q
+    return None
+
+
 def needs_rewrite(q: "Query") -> bool:
     """True if the query (tree) contains a scoring MultiTermQuery that must
     be expanded against the index before stats/scoring (ScoringRewrite)."""
-    if isinstance(q, (PrefixQuery, WildcardQuery, RegexpQuery, FuzzyQuery)):
-        return q.rewrite == "scoring_boolean"
-    if isinstance(q, BooleanQuery):
-        return any(needs_rewrite(c.query) for c in q.clauses)
-    if isinstance(q, DisjunctionMaxQuery):
-        return any(needs_rewrite(d) for d in q.disjuncts)
-    if isinstance(q, (FilteredQuery,)):
-        return needs_rewrite(q.query) or needs_rewrite(q.filter)
-    if isinstance(q, BooleanFilterQuery):
-        return any(needs_rewrite(c.query) for c in q.clauses)
-    if isinstance(q, ChainedFilterQuery):
-        return any(needs_rewrite(f) for f in q.filters)
-    if isinstance(q, ConstantScoreQuery):
-        return needs_rewrite(q.query)
-    if isinstance(q, SpanMultiTermQueryWrapper):
-        return True  # the wrapper always expands against the index
-    if isinstance(q, (SpanNearQuery, SpanOrQuery)):
-        return any(needs_rewrite(c) for c in q.clauses)
-    if isinstance(q, SpanNotQuery):
-        return needs_rewrite(q.include) or needs_rewrite(q.exclude)
-    if isinstance(q, (SpanFirstQuery, SpanPositionRangeQuery)):
-        return needs_rewrite(q.match)
-    if isinstance(q, CustomScoreQuery):
-        return needs_rewrite(q.query)
-    if isinstance(q, ToParentBlockJoinQuery):
-        return needs_rewrite(q.child)
-    if isinstance(q, ToChildBlockJoinQuery):
-        return needs_rewrite(q.parent)
-    return False
+    return (rewrite_target(q) is not None
+            or any(needs_rewrite(c) for c in subqueries(q)))
 
 
 def phrase(text: str, slop: int = 0) -> PhraseQuery:
@@ -859,140 +936,46 @@ def stacked_query(text: str, analyzer: str = "standard",
     return BooleanQuery(tuple(BooleanClause(operator, q) for q in per_pos))
 
 
-def _vs_terms(field_or_vs, mode) -> set:
-    """Stats terms a FunctionQuery/CustomScoreQuery value source needs:
-    ``mode=None`` -> default-field term strings, ``"fielded"`` ->
-    (field, term) pairs."""
-    if isinstance(field_or_vs, str):
-        return set()
-    from .functions.valuesource import collect_vs_terms
+def collect_stats_terms(q: Query) -> set[tuple[str | None, str]]:
+    """(field, term) pairs a query needs statistics/postings for — field
+    None is the default field (the per-field TermContext pass,
+    ``index/TermContext.java:81-101``)."""
+    if isinstance(q, TermQuery):
+        return {(q.field, q.term)}
+    if isinstance(q, (PhraseQuery, CommonTermsQuery)):
+        return {(q.field, t) for t in q.terms}
+    if isinstance(q, MultiPhraseQuery):
+        return {(q.field, t) for slot in q.terms for t in slot}
+    if isinstance(q, NGramPhraseQuery):
+        return collect_stats_terms(ngram_phrase_rewrite(q))
+    if isinstance(q, _SPAN_TYPES):
+        # a span root weighs what SpanWeight extracts, against its field
+        f = span_field(q)
+        return {(f, t) for t in span_weight_terms(q)}
+    # TermsFilterQuery is constant-score: it needs no stats
+    out: set[tuple[str | None, str]] = set()
+    vs = value_source(q)
+    if vs is not None:
+        from .functions.valuesource import collect_vs_terms
 
-    pairs = collect_vs_terms(field_or_vs)
-    if mode is None:
-        return {t for f, t in pairs if f is None}
-    return {(f, t) for f, t in pairs if f is not None}
+        out |= collect_vs_terms(vs)
+    if isinstance(q, (ToParentBlockJoinQuery, ToChildBlockJoinQuery)):
+        out.add((q.parent_field, q.parent_value))
+    for c in subqueries(q):
+        out |= collect_stats_terms(c)
+    return out
 
 
 def collect_terms(q: Query) -> set[str]:
     """Exact DEFAULT-FIELD terms a query needs statistics/postings for
     (field-qualified terms come from :func:`collect_field_terms`)."""
-    if isinstance(q, TermQuery):
-        return {q.term} if q.field is None else set()
-    if isinstance(q, PhraseQuery):
-        return set(q.terms) if q.field is None else set()
-    if isinstance(q, MultiPhraseQuery):
-        return ({t for slot in q.terms for t in slot}
-                if q.field is None else set())
-    if isinstance(q, BooleanQuery):
-        out: set[str] = set()
-        for c in q.clauses:
-            out |= collect_terms(c.query)
-        return out
-    if isinstance(q, DisjunctionMaxQuery):
-        out = set()
-        for d in q.disjuncts:
-            out |= collect_terms(d)
-        return out
-    if isinstance(q, FilteredQuery):
-        return collect_terms(q.query) | collect_terms(q.filter)
-    if isinstance(q, BooleanFilterQuery):
-        out = set()
-        for c in q.clauses:
-            out |= collect_terms(c.query)
-        return out
-    if isinstance(q, ChainedFilterQuery):
-        out = set()
-        for f in q.filters:
-            out |= collect_terms(f)
-        return out
-    if isinstance(q, ConstantScoreQuery):
-        return collect_terms(q.query)
-    if isinstance(q, CustomScoreQuery):
-        return collect_terms(q.query) | _vs_terms(q.field, None)
-    if isinstance(q, FunctionQuery):
-        return _vs_terms(q.field, None)
-    if isinstance(q, BoostingQuery):
-        return collect_terms(q.match) | collect_terms(q.context)
-    if isinstance(q, DuplicateFilterQuery):
-        return collect_terms(q.query)
-    if isinstance(q, TermsFilterQuery):
-        return set()  # constant-score: no stats needed
-    if isinstance(q, (SpanTermQuery, SpanNearQuery, SpanOrQuery,
-                      SpanNotQuery, SpanFirstQuery, SpanPositionRangeQuery,
-                      SpanMultiTermQueryWrapper, PayloadTermQuery,
-                      SpanPayloadCheckQuery, SpanNearPayloadCheckQuery,
-                      PayloadNearQuery, FieldMaskingSpanQuery)):
-        return span_weight_terms(q) if span_field(q) is None else set()
-    if isinstance(q, CommonTermsQuery):
-        return set(q.terms) if q.field is None else set()
-    if isinstance(q, NGramPhraseQuery):
-        return collect_terms(ngram_phrase_rewrite(q))
-    if isinstance(q, ToParentBlockJoinQuery):
-        return collect_terms(q.child)
-    if isinstance(q, ToChildBlockJoinQuery):
-        return collect_terms(q.parent)
-    return set()
+    return {t for f, t in collect_stats_terms(q) if f is None}
 
 
 def collect_field_terms(q: Query) -> set[tuple[str, str]]:
-    """(field, term) pairs for every FIELD-QUALIFIED exact term in the query
-    (the per-field TermContext pass, ``index/TermContext.java:81-101``)."""
-    if isinstance(q, TermQuery):
-        return {(q.field, q.term)} if q.field is not None else set()
-    if isinstance(q, PhraseQuery):
-        return {(q.field, t) for t in q.terms} if q.field is not None else set()
-    if isinstance(q, MultiPhraseQuery):
-        return ({(q.field, t) for slot in q.terms for t in slot}
-                if q.field is not None else set())
-    if isinstance(q, BooleanQuery):
-        out: set[tuple[str, str]] = set()
-        for c in q.clauses:
-            out |= collect_field_terms(c.query)
-        return out
-    if isinstance(q, DisjunctionMaxQuery):
-        out = set()
-        for d in q.disjuncts:
-            out |= collect_field_terms(d)
-        return out
-    if isinstance(q, FilteredQuery):
-        return collect_field_terms(q.query) | collect_field_terms(q.filter)
-    if isinstance(q, BooleanFilterQuery):
-        out = set()
-        for c in q.clauses:
-            out |= collect_field_terms(c.query)
-        return out
-    if isinstance(q, ChainedFilterQuery):
-        out = set()
-        for f in q.filters:
-            out |= collect_field_terms(f)
-        return out
-    if isinstance(q, ConstantScoreQuery):
-        return collect_field_terms(q.query)
-    if isinstance(q, CustomScoreQuery):
-        return collect_field_terms(q.query) | _vs_terms(q.field, "fielded")
-    if isinstance(q, FunctionQuery):
-        return _vs_terms(q.field, "fielded")
-    if isinstance(q, BoostingQuery):
-        return collect_field_terms(q.match) | collect_field_terms(q.context)
-    if isinstance(q, DuplicateFilterQuery):
-        return collect_field_terms(q.query)
-    if isinstance(q, (SpanTermQuery, SpanNearQuery, SpanOrQuery,
-                      SpanNotQuery, SpanFirstQuery, SpanPositionRangeQuery,
-                      SpanMultiTermQueryWrapper, PayloadTermQuery,
-                      SpanPayloadCheckQuery, SpanNearPayloadCheckQuery,
-                      PayloadNearQuery, FieldMaskingSpanQuery)):
-        f = span_field(q)
-        return ({(f, t) for t in span_weight_terms(q)}
-                if f is not None else set())
-    if isinstance(q, NGramPhraseQuery):
-        return collect_field_terms(ngram_phrase_rewrite(q))
-    if isinstance(q, ToParentBlockJoinQuery):
-        return (collect_field_terms(q.child)
-                | {(q.parent_field, q.parent_value)})
-    if isinstance(q, ToChildBlockJoinQuery):
-        return (collect_field_terms(q.parent)
-                | {(q.parent_field, q.parent_value)})
-    return set()
+    """(field, term) pairs for every FIELD-QUALIFIED exact term in the
+    query."""
+    return {p for p in collect_stats_terms(q) if p[0] is not None}
 
 
 import re as _pre
@@ -1061,23 +1044,21 @@ def parse_multi_field(text: str, fields, boosts=None,
 
 
 def _expand_multi_field(q: Query, fields: tuple, bmap: dict) -> Query:
-    from dataclasses import replace as _replace
-
     if isinstance(q, BooleanQuery):
-        return _replace(q, clauses=tuple(
+        return replace(q, clauses=tuple(
             BooleanClause(c.occur, _expand_multi_field(c.query, fields, bmap))
             for c in q.clauses))
     if isinstance(q, DisjunctionMaxQuery):
-        return _replace(q, disjuncts=tuple(
+        return replace(q, disjuncts=tuple(
             _expand_multi_field(d, fields, bmap) for d in q.disjuncts))
     if isinstance(q, (TermQuery, PhraseQuery, PrefixQuery, WildcardQuery,
                       FuzzyQuery, RegexpQuery, TermRangeQuery)) \
             and q.field is None:
         if len(fields) == 1:
             f = fields[0]
-            return _replace(q, field=f, boost=q.boost * bmap.get(f, 1.0))
+            return replace(q, field=f, boost=q.boost * bmap.get(f, 1.0))
         return BooleanQuery(tuple(
-            BooleanClause(SHOULD, _replace(
+            BooleanClause(SHOULD, replace(
                 q, field=f, boost=q.boost * bmap.get(f, 1.0)))
             for f in fields))
     return q
@@ -1234,23 +1215,21 @@ def _analyze_one_chunk(chunk: str, analyzer: str) -> str:
 
 
 def _analyze_expanded(q: Query, analyzer: str) -> Query:
-    from dataclasses import replace as _replace
-
     if isinstance(q, BooleanQuery):
         kept = []
         for c in q.clauses:
             cq = _analyze_expanded(c.query, analyzer)
             if cq is not None:  # clause analyzed away: dropped (parser rule)
                 kept.append(BooleanClause(c.occur, cq))
-        return _replace(q, clauses=tuple(kept))
+        return replace(q, clauses=tuple(kept))
     if isinstance(q, DisjunctionMaxQuery):
-        return _replace(q, disjuncts=tuple(
+        return replace(q, disjuncts=tuple(
             d2 for d in q.disjuncts
             if (d2 := _analyze_expanded(d, analyzer)) is not None))
     if isinstance(q, PrefixQuery):
-        return _replace(q, prefix=_analyze_one_chunk(q.prefix, analyzer))
+        return replace(q, prefix=_analyze_one_chunk(q.prefix, analyzer))
     if isinstance(q, FuzzyQuery):
-        return _replace(q, term=_analyze_one_chunk(q.term, analyzer))
+        return replace(q, term=_analyze_one_chunk(q.term, analyzer))
     if isinstance(q, WildcardQuery):
         import re as _re
 
@@ -1261,13 +1240,13 @@ def _analyze_expanded(q: Query, analyzer: str) -> Query:
         parts = _re.split(r"([*?]+)", q.pattern)
         out = [p if i % 2 else (_analyze_one_chunk(p, analyzer) if p else p)
                for i, p in enumerate(parts)]
-        return _replace(q, pattern="".join(out))
+        return replace(q, pattern="".join(out))
     if isinstance(q, TermQuery) and analyzer != "standard":
         # plain terms re-analyze through the configured chain too (the
         # parser's getFieldQuery always used its analyzer)
         toks = analyze_text(q.term, analyzer)
         if len(toks) == 1:
-            return _replace(q, term=toks[0])
+            return replace(q, term=toks[0])
         if toks:
             return PhraseQuery(tuple(toks), boost=q.boost, field=q.field)
         return None  # analyzed away: clause drops
@@ -1278,7 +1257,7 @@ def _analyze_expanded(q: Query, analyzer: str) -> Query:
         if len(toks) == 1:
             return TermQuery(toks[0], q.boost, field=q.field)
         if toks:
-            return _replace(q, terms=tuple(toks))
+            return replace(q, terms=tuple(toks))
         return None
     return q
 
@@ -1286,9 +1265,7 @@ def _analyze_expanded(q: Query, analyzer: str) -> Query:
 def _with_boost(q: Query, boost: float) -> Query:
     if boost == 1.0:
         return q
-    from dataclasses import replace as _replace
-
-    return _replace(q, boost=q.boost * boost)
+    return replace(q, boost=q.boost * boost)
 
 
 def _add_clause(clauses: list[BooleanClause], conj: str | None,

@@ -328,7 +328,11 @@ class LeafSearcher:
         """-> (docids, tfs, flat positions, per-doc start offsets into flat),
         read-only. Doc d's positions are flat[starts[i]:starts[i+1]] where i
         is the index of d in docids."""
-        ti = self.lookup(term)
+        return self._positions(self.lookup(term))
+
+    def _positions(self, ti: int):
+        """:meth:`postings_with_positions` of term ordinal ``ti`` (-1 =
+        absent)."""
         if ti < 0 or not self.has_positions:
             e = np.empty(0, dtype=np.int64)
             return e, np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.uint32), \
@@ -345,8 +349,8 @@ class LeafSearcher:
             raise ValueError(
                 "field was indexed without payloads (use a payload-producing "
                 "analyzer, e.g. 'delimited_payload')")
-        docids, tfs, flat, starts = self.postings_with_positions(term)
         ti = self.lookup(term)
+        docids, tfs, flat, starts = self._positions(ti)
         if ti < 0:
             return docids, tfs, flat, starts, np.empty(0, dtype=np.uint32)
         yo = int(self.pay_off[ti])
@@ -367,8 +371,8 @@ class LeafSearcher:
             raise ValueError(
                 "field was indexed without offsets, cannot highlight "
                 "(build with CorpusSpec.store_offsets=True)")
-        docids, tfs, flat, starts = self.postings_with_positions(term)
         ti = self.lookup(term)
+        docids, tfs, flat, starts = self._positions(ti)
         if ti < 0:
             e = np.empty(0, dtype=np.uint32)
             return docids, tfs, flat, starts, e, e
@@ -984,11 +988,12 @@ def _execute_raw(
     if isinstance(q, (PrefixQuery, WildcardQuery, RegexpQuery, FuzzyQuery)) \
             and q.rewrite == "scoring_boolean":
         # ScoringRewrite happens against GLOBAL stats before leaves execute
-        # (pipelines.search.rewrite_query); reaching a leaf un-rewritten
+        # (pipelines.search.plan_queries); reaching a leaf un-rewritten
         # would score with wrong (per-leaf) expansions
         raise ValueError(
             f"{type(q).__name__}(rewrite='scoring_boolean') must be "
-            "rewritten before leaf execution (use pipelines.search.search)")
+            "rewritten before leaf execution (plan the query with "
+            "pipelines.search.plan_queries)")
     if isinstance(q, TermQuery):
         return _scores_for_term(leaf, ctx, q.term, boost * q.boost, q.field)
     if isinstance(q, MatchAllDocsQuery):

@@ -1,6 +1,6 @@
-"""``algo="wand"`` must give the exhaustive executor's top-k (docids AND
-float32 scores) and exact hit counts, and the decoded-postings cache must
-not change what the scorer sees."""
+"""Both ``algo`` values must give the oracle's top-k (docids AND float32
+scores) and exact hit counts, and the decoded-postings cache must not
+change what the scorer sees."""
 
 from collections import OrderedDict
 
@@ -9,7 +9,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from lucene_solr_old_ray.functions.codec import decode_blob
-
+from lucene_solr_old_ray.oracle import OracleIndex
 from lucene_solr_old_ray.pipelines.build_index import build_index
 from lucene_solr_old_ray.pipelines.merge import merge_index
 from lucene_solr_old_ray.pipelines.search import gather_stats, search
@@ -29,7 +29,7 @@ def big_index(ray_session, tmp_path_factory):
     idx = str(tmp_path_factory.mktemp("i") / "idx")
     build_index(CorpusSpec.source_code(p), idx, target_docs_per_partition=2000)
     merge_index(idx, fan_in=10, strategy="local")  # single merged shard
-    return idx
+    return idx, OracleIndex(pq.read_table(p)["content"].to_pylist())
 
 
 def wand_queries():
@@ -41,25 +41,28 @@ def wand_queries():
         4: bool_query(shoulds=["return", "null", "def", "import", "heap_pool",
                                "parse_batch"]),
         5: bool_query(shoulds=["zzz_missing"]),
-        # ineligible -> must fall back and still be correct
         6: bool_query(musts=["return", "class"]),
         7: bool_query(shoulds=["class", "def", "static"], min_should_match=2),
     }
 
 
 def test_wand_equals_exhaustive_pipeline(big_index):
+    """Both ``algo`` values return the oracle's top-k: docids, float32
+    scores and exact total hits."""
+    idx, oracle = big_index
     qs = wand_queries()
-    a = search(big_index, qs, k=K, algo="exhaustive").to_pandas()
-    b = search(big_index, qs, k=K, algo="wand").to_pandas()
-    for qid in qs:
-        ga = a[a["qid"] == qid].sort_values("rank")
-        gb = b[b["qid"] == qid].sort_values("rank")
-        assert ga["docid"].tolist() == gb["docid"].tolist(), f"qid {qid}"
-        np.testing.assert_array_equal(
-            ga["score"].to_numpy(np.float32), gb["score"].to_numpy(np.float32)
-        )
-        assert ga["total_hits"].tolist() == gb["total_hits"].tolist(), \
-            f"qid {qid}"
+    for algo in ("exhaustive", "wand"):
+        res = search(idx, qs, k=K, algo=algo).to_pandas()
+        for qid, q in qs.items():
+            want = oracle.search(q, K)
+            got = res[res["qid"] == qid].sort_values("rank")
+            assert got["docid"].tolist() == [w[0] for w in want], (algo, qid)
+            np.testing.assert_array_equal(
+                got["score"].to_numpy(np.float32),
+                np.array([w[1] for w in want], dtype=np.float32),
+                err_msg=f"{algo} qid {qid} scores")
+            assert got["total_hits"].tolist() == [w[2] for w in want], \
+                (algo, qid)
 
 
 def test_wand_randomized_postings(ray_session, monkeypatch):
