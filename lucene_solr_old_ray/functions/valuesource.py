@@ -40,10 +40,14 @@ the Java float evaluation order:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 F = np.float32
+
+if TYPE_CHECKING:  # annotation names only
+    from ..queries import Query, ValueSource
 
 
 @dataclass(frozen=True)
@@ -115,46 +119,46 @@ class TermFreq:
 
 @dataclass(frozen=True)
 class Sum:
-    operands: tuple
+    operands: tuple[ValueSource, ...]
 
 
 @dataclass(frozen=True)
 class Product:
-    operands: tuple
+    operands: tuple[ValueSource, ...]
 
 
 @dataclass(frozen=True)
 class Div:
-    a: object
-    b: object
+    a: ValueSource
+    b: ValueSource
 
 
 @dataclass(frozen=True)
 class Pow:
-    a: object
-    b: object
+    a: ValueSource
+    b: ValueSource
 
 
 @dataclass(frozen=True)
 class Max:
-    operands: tuple
+    operands: tuple[ValueSource, ...]
 
 
 @dataclass(frozen=True)
 class Min:
-    operands: tuple
+    operands: tuple[ValueSource, ...]
 
 
 @dataclass(frozen=True)
 class Linear:
-    source: object
+    source: ValueSource
     slope: float
     intercept: float
 
 
 @dataclass(frozen=True)
 class Reciprocal:
-    source: object
+    source: ValueSource
     m: float
     a: float
     b: float
@@ -162,7 +166,7 @@ class Reciprocal:
 
 @dataclass(frozen=True)
 class RangeMap:
-    source: object
+    source: ValueSource
     lo: float
     hi: float
     target: float
@@ -171,9 +175,9 @@ class RangeMap:
 
 @dataclass(frozen=True)
 class If:
-    cond: object
-    true_vs: object
-    false_vs: object
+    cond: ValueSource
+    true_vs: ValueSource
+    false_vs: ValueSource
 
 
 @dataclass(frozen=True)
@@ -181,7 +185,7 @@ class QueryScore:
     """QueryValueSource: score of ``query`` where it matches, else
     ``default``."""
 
-    query: object
+    query: Query
     default: float = 0.0
 
 
@@ -206,7 +210,7 @@ class Ord:
     missing ord) is resolved by the search pre-pass."""
 
     field: str
-    _global: object = None  # filled by pipelines.search.plan_queries
+    _global: tuple | None = None  # filled by pipelines.search.plan_queries
 
 
 @dataclass(frozen=True)
@@ -215,7 +219,7 @@ class ReverseOrd:
     68``)."""
 
     field: str
-    _global: object = None
+    _global: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -225,7 +229,7 @@ class Scale:
     every leaf at weight-creation time). ``_bounds`` = (minSource,
     maxSource) resolved by the search pre-pass."""
 
-    source: object
+    source: ValueSource
     min: float
     max: float
     _bounds: tuple | None = None
@@ -273,15 +277,34 @@ def map_children(vs, fn):
     return replace(vs, **changes)
 
 
+# the field of each type that holds a query: the query planner reaches it
+# through ``queries.subqueries`` / ``map_subqueries``
+QUERY_FIELD: dict[type, str] = {QueryScore: "query"}
+
+
+def queries_of(vs) -> list:
+    """Every query held anywhere in the value-source tree ``vs``."""
+    f = QUERY_FIELD.get(type(vs))
+    out = [getattr(vs, f)] if f else []
+    for child in _children(vs):
+        out += queries_of(child)
+    return out
+
+
+def map_queries(vs, fn):
+    """``vs`` with ``fn`` applied to every query held in its tree."""
+    f = QUERY_FIELD.get(type(vs))
+    vs = map_children(vs, lambda c: map_queries(c, fn))
+    return replace(vs, **{f: fn(getattr(vs, f))}) if f else vs
+
+
 def collect_vs_terms(vs) -> set:
-    """(field, term) stats the tree needs (None field = default field)."""
+    """(field, term) stats the tree's nodes need (None field = default
+    field); ``queries.collect_stats_terms`` adds those of the queries it
+    holds."""
     out = set()
     if isinstance(vs, (DocFreq, TotalTermFreq, IDF, TF, TermFreq)):
         out.add((vs.field, vs.term))
-    if isinstance(vs, QueryScore):
-        from ..queries import collect_stats_terms
-
-        out |= collect_stats_terms(vs.query)
     for child in _children(vs):
         out |= collect_vs_terms(child)
     return out

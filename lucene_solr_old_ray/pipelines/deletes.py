@@ -2,8 +2,8 @@
 (``index/BufferedDeletesStream.java`` / ``codecs/LiveDocsFormat.java``
 re-expressed manifest-first).
 
-- ``delete_by_query`` computes matching docIDs per leaf (one task per leaf),
-  merges them into per-leaf liveDocs bitmaps stored under
+- ``delete_by_query`` computes matching docIDs per leaf (plain tasks over
+  the leaf groups), merges them into per-leaf liveDocs bitmaps stored under
   ``index_dir/deletes/g<gen>/``, and publishes a new manifest generation whose
   segment entries carry the bitmap paths. Nothing in the segment files
   changes; like the reference, collection/term statistics keep counting
@@ -35,7 +35,33 @@ from ..queries import Query
 from ..stages.search import execute
 from ..state import docvalues as dv
 from ..state import manifest as mf
-from .search import leaf_dataset, open_leaf, plan_queries
+from .search import leaf_dataset, map_leaves, open_leaf, plan_queries
+
+
+@ray.remote
+def _mark_task(index_dir: str, rows: list[dict], query: Query, ctx,
+               gen: int) -> dict[str, tuple[str | None, int]]:
+    """leaf dir -> (liveDocs path relative to ``index_dir`` or None, deleted
+    count) for ``rows``: the leaf's live bitmap with ``query``'s matches
+    cleared, written to ``deletes/g<gen>/`` when any doc of the leaf is
+    deleted."""
+    out = {}
+    for row in rows:
+        leaf = open_leaf(index_dir, row)
+        docids, _ = execute(query, leaf, ctx)
+        live = (leaf.live.copy() if leaf.live is not None
+                else np.ones(leaf.num_docs, dtype=bool))
+        live[docids] = False
+        n_del = int((~live).sum())
+        rel = None
+        if n_del:
+            rel = os.path.join("deletes", f"g{gen}",
+                               f"leaf-{int(row['leaf_ord']):05d}.npy")
+            tmp = os.path.join(index_dir, rel + f".tmp-{os.getpid()}.npy")
+            np.save(tmp, live, allow_pickle=False)
+            os.replace(tmp, os.path.join(index_dir, rel))
+        out[row["dir"]] = (rel, n_del)
+    return out
 
 
 def delete_by_query(index_dir: str, query: Query) -> dict:
@@ -45,45 +71,20 @@ def delete_by_query(index_dir: str, query: Query) -> dict:
     out_dir = os.path.join(index_dir, "deletes", f"g{gen}")
     os.makedirs(out_dir, exist_ok=True)
     [(_, query)], ctx = plan_queries(index_dir, manifest, [query])
-    ctx_ref = ray.put(ctx)
-    q_ref = ray.put(query)
-
-    def mark(batch: pd.DataFrame) -> pd.DataFrame:
-        q = ray.get(q_ref)
-        ctx_l = ray.get(ctx_ref)
-        rows = []
-        for row in batch.to_dict("records"):
-            leaf = open_leaf(index_dir, row)
-            docids, _ = execute(q, leaf, ctx_l)
-            live = (leaf.live.copy() if leaf.live is not None
-                    else np.ones(leaf.num_docs, dtype=bool))
-            live[docids] = False
-            n_del = int((~live).sum())
-            rel = None
-            if n_del:
-                rel = os.path.join("deletes", f"g{gen}",
-                                   f"leaf-{int(row['leaf_ord']):05d}.npy")
-                tmp = os.path.join(index_dir, rel + f".tmp-{os.getpid()}.npy")
-                np.save(tmp, live, allow_pickle=False)
-                os.replace(tmp, os.path.join(index_dir, rel))
-            rows.append({"leaf_ord": int(row["leaf_ord"]), "deletes": rel,
-                         "num_deleted": n_del})
-        return pd.DataFrame(rows)
-
-    items = mf.leaf_rows(index_dir, manifest)
-    ds = ray.data.from_items(items, override_num_blocks=max(1, len(items)))
-    marks = ds.map_batches(mark, batch_format="pandas", batch_size=2).to_pandas()
-    marks = marks.set_index("leaf_ord")
+    rows = mf.leaf_rows(index_dir, manifest)
+    marks: dict[str, tuple[str | None, int]] = {}
+    for part in map_leaves(_mark_task, index_dir, rows, query, ctx, gen):
+        marks.update(part)
 
     seg_of = {s["dir"]: s for s in manifest["segments"]}
     new_segments = []
     total_deleted = 0
-    for i, row in enumerate(items):
+    for row in rows:
         e = dict(seg_of[row["dir"]])
-        rel = marks.loc[i, "deletes"]
-        if rel is not None and not (isinstance(rel, float) and pd.isna(rel)):
+        rel, n_del = marks[row["dir"]]
+        if rel is not None:
             e["deletes"] = rel
-            e["num_deleted"] = int(marks.loc[i, "num_deleted"])
+            e["num_deleted"] = n_del
         total_deleted += int(e.get("num_deleted", 0))
         new_segments.append(e)
     new_manifest = dict(manifest)

@@ -30,7 +30,13 @@ from ..functions import bm25
 from ..functions.analysis import tokenize_with_offsets
 from ..queries import Query, collect_terms
 from ..state import manifest as mf
-from .search import fetch_doc_meta, gather_stats, search
+from .search import fetch_doc_meta, plan_queries, search
+
+_EMPTY = pa.table({"doc_id": pa.array([], pa.int64()),
+                   "rank": pa.array([], pa.int64()),
+                   "frag": pa.array([], pa.int64()),
+                   "snippet": pa.array([], pa.string()),
+                   "score_bp": pa.array([], pa.int64())})
 
 
 def _best_fragments(
@@ -80,6 +86,48 @@ def _best_fragments(
     return out
 
 
+def _highlight_corpus(
+    index_dir: str, query: Query, corpus_parquet: str, id_col: str,
+    text_col: str, streams: dict, rank_of: dict, frag_size: int,
+    max_fragments: int, pre: str, post: str,
+) -> pa.Table:
+    """Snippet the hit docs of the corpus rows: ``streams`` maps each hit's
+    id to its (term, start, end) stream, or to None to re-analyze its text.
+    Terms weigh their idf in the PLANNED query — an MTQ weighs its
+    expansion, as WeightedSpanTermExtractor does after ``rewrite``."""
+    import ray
+    import ray.data
+
+    [(_, planned)], ctx = plan_queries(
+        index_dir, mf.read_index_manifest(index_dir), [query])
+    weights = {t: float(bm25.idf(ctx.term_stats.get(t, (0, 0))[0],
+                                 ctx.coll.max_doc))
+               for t in sorted(collect_terms(planned))}
+    bcast = ray.put((streams, weights, rank_of))
+
+    def snip(batch: pa.Table) -> pa.Table:
+        streams_l, weights_l, rank_l = ray.get(bcast)
+        rows = []
+        for did, txt in zip(batch[id_col].to_pylist(),
+                            batch[text_col].to_pylist()):
+            if did not in streams_l:
+                continue
+            for fi, (sc, frag) in enumerate(_best_fragments(
+                    txt, weights_l, frag_size, max_fragments, pre, post,
+                    toks=streams_l[did])):
+                rows.append({"doc_id": did, "rank": int(rank_l[did]),
+                             "frag": fi, "snippet": frag,
+                             "score_bp": int(round(sc * 10000))})
+        return pa.Table.from_pylist(rows, schema=_EMPTY.schema)
+
+    ds = ray.data.read_parquet(corpus_parquet, columns=[id_col, text_col])
+    out = ds.map_batches(snip, batch_format="pyarrow").to_pandas()
+    if out.empty:  # no fragment anywhere: the frame has no columns
+        return _EMPTY
+    out = out.sort_values(["rank", "frag"]).reset_index(drop=True)
+    return pa.Table.from_pandas(out, preserve_index=False)
+
+
 def highlight_hits(
     index_dir: str,
     corpus_parquet: str,
@@ -95,52 +143,16 @@ def highlight_hits(
 ) -> pa.Table:
     """Search, then snippet the top-k hits.
     -> (doc_id, rank, frag, snippet, score_bp) sorted by (rank, frag)."""
-    import ray
-    import ray.data
-
     res = search(index_dir, {0: query}, k=k)
     if res.num_rows == 0:
-        return pa.table({"doc_id": pa.array([], pa.int64()),
-                         "rank": pa.array([], pa.int64()),
-                         "frag": pa.array([], pa.int64()),
-                         "snippet": pa.array([], pa.string()),
-                         "score_bp": pa.array([], pa.int64())})
+        return _EMPTY
     meta = fetch_doc_meta(index_dir, res["docid"].to_pylist())
     id_of = dict(zip(meta["docid"].to_pylist(), meta[id_col].to_pylist()))
     rank_of = {id_of[d]: r for d, r in zip(res["docid"].to_pylist(),
                                            res["rank"].to_pylist())}
-
-    manifest = mf.read_index_manifest(index_dir)
-    terms = sorted(collect_terms(query))
-    ctx = gather_stats(index_dir, manifest, terms)
-    weights = {t: float(bm25.idf(ctx.term_stats.get(t, (0, 0))[0],
-                                 ctx.coll.max_doc)) for t in terms}
-    need = set(rank_of)
-    bcast = ray.put((need, weights, rank_of))
-
-    def snip(batch: pa.Table) -> pa.Table:
-        need_l, weights_l, rank_l = ray.get(bcast)
-        rows = []
-        for did, txt in zip(batch[id_col].to_pylist(),
-                            batch[text_col].to_pylist()):
-            if did not in need_l:
-                continue
-            for fi, (sc, frag) in enumerate(_best_fragments(
-                    txt, weights_l, frag_size, max_fragments, pre, post)):
-                rows.append((did, int(rank_l[did]), fi,
-                             frag, int(round(sc * 10000))))
-        return pa.table({
-            "doc_id": pa.array([r[0] for r in rows], pa.int64()),
-            "rank": pa.array([r[1] for r in rows], pa.int64()),
-            "frag": pa.array([r[2] for r in rows], pa.int64()),
-            "snippet": pa.array([r[3] for r in rows], pa.string()),
-            "score_bp": pa.array([r[4] for r in rows], pa.int64()),
-        })
-
-    ds = ray.data.read_parquet(corpus_parquet, columns=[id_col, text_col])
-    out = ds.map_batches(snip, batch_format="pyarrow").to_pandas()
-    out = out.sort_values(["rank", "frag"]).reset_index(drop=True)
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return _highlight_corpus(index_dir, query, corpus_parquet, id_col,
+                             text_col, dict.fromkeys(rank_of), rank_of,
+                             frag_size, max_fragments, pre, post)
 
 
 def highlight_hits_fvh(
@@ -171,19 +183,11 @@ def highlight_hits_fvh(
     Distribution shape: the hit set is k-sized, so term vectors are fetched
     with doc-pruned row-group reads (fetch_term_vectors) and only the text
     SLICING streams over the corpus rows."""
-    import ray
-    import ray.data
-
     from .search import fetch_term_vectors
 
     res = search(index_dir, {0: query}, k=k)
-    empty = pa.table({"doc_id": pa.array([], pa.int64()),
-                      "rank": pa.array([], pa.int64()),
-                      "frag": pa.array([], pa.int64()),
-                      "snippet": pa.array([], pa.string()),
-                      "score_bp": pa.array([], pa.int64())})
     if res.num_rows == 0:
-        return empty
+        return _EMPTY
     docids = res["docid"].to_pylist()
     meta = fetch_doc_meta(index_dir, docids)
     id_of = dict(zip(meta["docid"].to_pylist(), meta[id_col].to_pylist()))
@@ -208,35 +212,6 @@ def highlight_hits_fvh(
             (str(t), int(s), int(e))
             for t, s, e in zip(terms[o], ss[o], ee[o])]
 
-    manifest = mf.read_index_manifest(index_dir)
-    terms = sorted(collect_terms(query))
-    ctx = gather_stats(index_dir, manifest, terms)
-    weights = {t: float(bm25.idf(ctx.term_stats.get(t, (0, 0))[0],
-                                 ctx.coll.max_doc)) for t in terms}
-    bcast = ray.put((streams, weights, rank_of))
-
-    def snip(batch: pa.Table) -> pa.Table:
-        streams_l, weights_l, rank_l = ray.get(bcast)
-        rows = []
-        for did, txt in zip(batch[id_col].to_pylist(),
-                            batch[text_col].to_pylist()):
-            toks = streams_l.get(did)
-            if toks is None:
-                continue
-            for fi, (sc, frag) in enumerate(_best_fragments(
-                    txt, weights_l, frag_size, max_fragments, pre, post,
-                    toks=toks)):
-                rows.append((did, int(rank_l[did]), fi,
-                             frag, int(round(sc * 10000))))
-        return pa.table({
-            "doc_id": pa.array([r[0] for r in rows], pa.int64()),
-            "rank": pa.array([r[1] for r in rows], pa.int64()),
-            "frag": pa.array([r[2] for r in rows], pa.int64()),
-            "snippet": pa.array([r[3] for r in rows], pa.string()),
-            "score_bp": pa.array([r[4] for r in rows], pa.int64()),
-        })
-
-    ds = ray.data.read_parquet(corpus_parquet, columns=[id_col, text_col])
-    out = ds.map_batches(snip, batch_format="pyarrow").to_pandas()
-    out = out.sort_values(["rank", "frag"]).reset_index(drop=True)
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return _highlight_corpus(index_dir, query, corpus_parquet, id_col,
+                             text_col, streams, rank_of, frag_size,
+                             max_fragments, pre, post)

@@ -37,7 +37,7 @@ import pyarrow as pa
 
 from ..queries import Query, collect_terms
 from ..state import manifest as mf
-from .search import fetch_doc_meta, search
+from .search import fetch_doc_meta, rewrite_queries, search
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
@@ -306,8 +306,12 @@ def highlight_hits_postings(
     id_of = dict(zip(meta["docid"].to_pylist(), meta[id_col].to_pylist()))
     rank_of = {id_of[d]: r for d, r in zip(docids, res["rank"].to_pylist())}
 
-    terms = sorted(collect_terms(query))
-    occ = fetch_postings_offsets(index_dir, docids, terms)
+    # the REWRITTEN query's terms: an MTQ marks its expansion (no stats
+    # exchange: passage weights use the document's own term frequencies)
+    [(_, planned)] = rewrite_queries(
+        index_dir, mf.read_index_manifest(index_dir), [(0, query)])
+    occ = fetch_postings_offsets(index_dir, docids,
+                                 sorted(collect_terms(planned)))
     occs: dict = {id_of[d]: {} for d in docids}
     for d, t, ss, ee in zip(occ["docid"].to_pylist(),
                             occ["term"].to_pylist(),
@@ -331,18 +335,16 @@ def highlight_hits_postings(
                 continue
             best = max((p["score"] for p in ps
                         if not math.isnan(p["score"])), default=None)
-            rows.append((did, int(rank_l[did]),
-                         format_passages(ps, txt or "", pre_l, post_l, ell),
-                         int(round(best * 10000)) if best is not None
-                         else -1))
-        return pa.table({
-            "doc_id": pa.array([r[0] for r in rows], pa.int64()),
-            "rank": pa.array([r[1] for r in rows], pa.int64()),
-            "snippet": pa.array([r[2] for r in rows], pa.string()),
-            "score_bp": pa.array([r[3] for r in rows], pa.int64()),
-        })
+            rows.append({
+                "doc_id": did, "rank": int(rank_l[did]),
+                "snippet": format_passages(ps, txt or "", pre_l, post_l, ell),
+                "score_bp": (int(round(best * 10000)) if best is not None
+                             else -1)})
+        return pa.Table.from_pylist(rows, schema=empty.schema)
 
     ds = ray.data.read_parquet(corpus_parquet, columns=[id_col, text_col])
     out = ds.map_batches(snip, batch_format="pyarrow").to_pandas()
+    if out.empty:  # no passage anywhere: the frame has no columns
+        return empty
     out = out.sort_values("rank").reset_index(drop=True)
     return pa.Table.from_pandas(out, preserve_index=False)

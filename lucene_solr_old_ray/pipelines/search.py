@@ -1,24 +1,32 @@
-"""Distributed search pipeline (SURVEY §3.2 re-expressed on Ray Data).
+"""Distributed search pipeline (SURVEY §3.2 re-expressed on Ray).
 
-Two passes over the leaf set, both as Dataset stages over the (tiny) leaf
-descriptor table — the postings themselves never move; actors mmap them:
+Two passes over the leaf set, both as plain ``@ray.remote`` tasks over the
+(tiny) leaf descriptor table — the postings themselves never move; workers
+mmap them:
 
 1. **stats pass** — sum df/ttf for the query's terms across every leaf
    (``TermContext.build`` over all leaves), roll up on the driver, broadcast
    via ``ray.put`` (ShardSearchingTestBase's stats-exchange protocol).
-2. **scoring pass** — ``map_batches(_score_rows)``: a task pool whose state
-   (opened ``LeafSearcher``s — term dict in RAM, postings/norms mmap'd,
-   decoded postings in the process-wide cache) lives
-   in the worker-process-level :data:`_WORKER_LEAVES` cache, so it survives
-   across batches AND across ``search()`` calls; each task runs its query
-   chunk against its leaf, emitting per-leaf top-k rows.
+2. **scoring pass** — ``_score_task``: the (leaf × query-chunk) work items,
+   grouped round-robin into one task per cluster CPU. Scoring state (opened
+   ``LeafSearcher``s — term dict in RAM, postings/norms mmap'd, decoded
+   postings in the process-wide cache) lives in the worker-process-level
+   :data:`_WORKER_LEAVES` cache; Ray reuses task worker processes, so it
+   survives across ``search()`` calls. Each task returns its per-leaf
+   top-k rows as numpy columns.
+
+The transport rule: Ray Data for data-sized work (the build's Parquet read,
+the merge's k-way merge, curation), plain tasks for the leaf control plane
+(:func:`map_leaves`). A leaf table is tens of rows, and a per-call Dataset
+costs ~1 s of fixed scheduling on a 100-query batch whose scoring takes
+~50 ms.
 
 Driver merge follows ``TopDocs.merge`` exactly (``search/TopDocs.java:82-118``):
 (score desc, leaf ord asc, per-leaf rank asc) — leaf ords ascend with docBase,
 so ties resolve identically to a single-reader search.
 
 The plan is a handful of functions that ``pipelines.serve`` runs too, over
-its actor pool instead of Ray Data: ``plan_queries`` (rewrite, stats
+its actor pool instead of tasks: ``plan_queries`` (rewrite, stats
 exchange, top-level value sources), ``leaf_stats`` / ``sum_stats`` /
 ``make_context`` (the exchange), ``score_leaves`` (per-leaf top-k rows) and
 ``merge_top_docs``. Leaves are ``state.manifest.leaf_rows`` rows, opened with
@@ -28,13 +36,13 @@ exchange, top-level value sources), ``leaf_stats`` / ``sum_stats`` /
 and every other pass that executes a query per leaf (the analytics
 facets/grouping/sorting/counting passes, ``delete_by_query``,
 ``pk_split``, solrstats, the sorted-index, spatial, expression and
-block-join collectors, span highlighting) call it and execute the PLANNED
-queries. Its tree walks fold over ``queries.SUBQUERY_FIELDS``, so every
-compound type is planned the same way.
+block-join collectors, span highlighting, the highlighters) call it and
+execute the PLANNED queries. Its tree walks fold over
+``queries.SUBQUERY_FIELDS``, so every compound type is planned the same way.
 
 Scale notes: the shuffle-free design holds at 10^12 docs — queries and stats
 are broadcast (small), per-leaf top-k rows are k × leaves × queries (small);
-actors hold term dictionaries in heap, read postings from read-only mmaps,
+workers hold term dictionaries in heap, read postings from read-only mmaps,
 and decode each term's postings once per process into a byte-bounded LRU
 (``stages.search._DECODED``, 256 MiB) that every scorer path reads.
 """
@@ -47,7 +55,6 @@ from collections import OrderedDict
 from typing import Sequence
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import time as _time
 
@@ -88,7 +95,7 @@ from ..state import manifest as mf
 # worker-process-level open-leaf LRU: segments/shards are IMMUTABLE
 # (published by atomic rename, never rewritten), so a loaded term dict +
 # mmaps stay valid for the life of the worker. Ray core reuses idle
-# worker PROCESSES across Dataset executions within a job, so the cache
+# worker PROCESSES across tasks within a job, so the cache
 # survives across search() calls — an actor instance's dict would die with
 # its pool. Keyed by (leaf dir, deletes path, deletes mtime): a new deletes
 # generation writes a NEW file, and mtime guards in-place rewrites.
@@ -128,10 +135,21 @@ def leaf_dataset(index_dir: str, manifest: dict) -> ray.data.Dataset:
     return ray.data.from_items(rows, override_num_blocks=max(1, len(rows)))
 
 
-def _leaf_groups(rows: list[dict], n: int = 8) -> list[list[dict]]:
-    """Round-robin leaf rows over at most ``n`` control-plane tasks."""
-    n = min(n, len(rows))
+def _leaf_groups(rows: list, n: int | None = None) -> list[list]:
+    """Round-robin ``rows`` over at most ``n`` control-plane tasks (default:
+    one per cluster CPU — more tasks than CPUs only queue, and each costs
+    its own dispatch)."""
+    n = min(n or max(1, int(ray.cluster_resources().get("CPU", 1))),
+            len(rows))
     return [rows[i::n] for i in range(n)]
+
+
+def map_leaves(task, index_dir: str, rows: list, *args) -> list:
+    """``task.remote(index_dir, group, *args)`` over :func:`_leaf_groups` of
+    ``rows`` (leaf rows or per-leaf work items) -> the tasks' results, in
+    group order: the plain-task fan-out of every leaf control-plane pass."""
+    return ray.get([task.remote(index_dir, g, *args)
+                    for g in _leaf_groups(rows)])
 
 
 # per-leaf result rows: the scoring step's output and the merge's input
@@ -182,13 +200,11 @@ def _row_arrays(out: dict[str, list]) -> dict[str, np.ndarray]:
 
 def merge_top_docs(parts, k: int) -> pa.Table:
     """TopDocs.merge (``search/TopDocs.java:82-118``) over per-leaf row
-    batches (dicts of arrays or DataFrames from :func:`score_leaves`) ->
+    batches (dicts of arrays from :func:`score_leaves`) ->
     table (qid, rank [1-based], docid, score, total_hits). Order per qid is
     (score desc, leaf ord asc, per-leaf rank asc): leaf ords ascend with
     docBase, so ties resolve as in a single-reader search. total_hits sums
     the per-leaf hits; time-limit sentinel rows (qid -1) are dropped."""
-    parts = [p for p in parts if "qid" in p]  # an empty Dataset is schema-less
-
     def col(c):
         return np.concatenate(
             [np.asarray(p[c], dtype=_ROW_DTYPES[c]) for p in parts]
@@ -215,18 +231,15 @@ def merge_top_docs(parts, k: int) -> pa.Table:
     })
 
 
-def _score_rows(batch: "pd.DataFrame", *, index_dir: str, queries_ref,
-                ctx_ref, k: int,
-                deadline: float | None = None) -> "pd.DataFrame":
-    """Task-pool entry: one scoring pass over a batch of (leaf, query-chunk)
-    rows — the work fans out across BOTH leaves and query chunks, so
-    parallelism is leaves × ceil(nq / chunk) rather than bounded by shard
-    count. Open leaves come from the worker-level cache
-    (:data:`_WORKER_LEAVES`)."""
-    queries: list[tuple[int, Query]] = ray.get(queries_ref)
-    work = ((open_leaf(index_dir, row), queries[row["q_lo"]:row["q_hi"]])
-            for row in batch.to_dict("records"))
-    return pd.DataFrame(score_leaves(work, ray.get(ctx_ref), k, deadline))
+@ray.remote
+def _score_task(index_dir: str, work: list[tuple[dict, int, int]],
+                queries: list[tuple[int, Query]], ctx: SearchContext, k: int,
+                deadline: float | None) -> dict[str, np.ndarray]:
+    """One scoring task of ``search()``: :func:`score_leaves` over its
+    ``(leaf row, q_lo, q_hi)`` work items, leaves from the worker-level
+    cache (:data:`_WORKER_LEAVES`)."""
+    return score_leaves(((open_leaf(index_dir, row), queries[lo:hi])
+                         for row, lo, hi in work), ctx, k, deadline)
 
 
 def leaf_stats(leaf: LeafSearcher, terms: Sequence[str],
@@ -351,10 +364,8 @@ def _resolve_vs_toplevel(index_dir: str, manifest: dict, qitems, ctx):
 
     # 2) one control-plane pass over the leaves (gather_stats shape)
     items = mf.leaf_rows(index_dir, manifest)
-    parts = ray.get([
-        _vs_toplevel_task.remote(index_dir, g, scale_specs, ord_fields, ctx)
-        for g in _leaf_groups(items)
-    ])
+    parts = map_leaves(_vs_toplevel_task, index_dir, items, scale_specs,
+                       ord_fields, ctx)
     bounds: list = [(None, None)] * len(scale_specs)
     vals: dict[str, set] = {f: set() for f in ord_fields}
     for sb, od in parts:
@@ -538,10 +549,8 @@ def _expand_queries_globally(index_dir: str, manifest: dict,
                              mtqs: list) -> "list[dict[str, int]]":
     """Union {term: min edit distance} per MTQ across every leaf (the
     shared fan-out of rewrite_queries and fuzzy_like_this)."""
-    partials = ray.get([
-        _leaf_expand_task.remote(index_dir, g, mtqs)
-        for g in _leaf_groups(mf.leaf_rows(index_dir, manifest))
-    ])
+    partials = map_leaves(_leaf_expand_task, index_dir,
+                          mf.leaf_rows(index_dir, manifest), mtqs)
     union: list[dict[str, int]] = [dict() for _ in mtqs]
     for p in partials:
         for i, d in enumerate(p):
@@ -567,10 +576,9 @@ def gather_stats(
     field_terms = sorted(set(field_terms))
     partials = []
     if terms or field_terms:
-        partials = ray.get([
-            _leaf_stats_task.remote(index_dir, g, terms, field_terms)
-            for g in _leaf_groups(mf.leaf_rows(index_dir, manifest))
-        ])
+        partials = map_leaves(_leaf_stats_task, index_dir,
+                              mf.leaf_rows(index_dir, manifest), terms,
+                              field_terms)
     return make_context(manifest, partials, similarity)
 
 
@@ -602,7 +610,6 @@ def search(
     *,
     algo: str = "exhaustive",
     similarity: str = "bm25",
-    concurrency: int | None = None,
     time_limit_s: float | None = None,
 ) -> pa.Table:
     """Run a batch of queries -> table (qid, rank[1-based], docid, score,
@@ -624,33 +631,18 @@ def search(
     # fan out over (leaf × query-chunk) so few-shard indexes still parallelize
     n_chunks = max(1, min(len(qitems) // 8, 16))
     bounds = np.linspace(0, len(qitems), n_chunks + 1).astype(int)
-    items = [
-        {**row, "q_lo": int(bounds[c]), "q_hi": int(bounds[c + 1])}
-        for row in mf.leaf_rows(index_dir, manifest)
-        for c in range(n_chunks)
-    ]
-    ds = ray.data.from_items(items, override_num_blocks=max(1, len(items)))
-    queries_ref = ray.put(qitems)
-    ctx_ref = ray.put(ctx)
-    # TASK pool (not an actor pool): scoring state is the open leaf, which
-    # lives in the worker-process cache (_WORKER_LEAVES) and so survives
-    # across search() calls; an actor pool would re-open every leaf per
-    # call. queries/ctx ride object refs (one plasma get per task).
+    work = [(row, int(bounds[c]), int(bounds[c + 1]))
+            for row in mf.leaf_rows(index_dir, manifest)
+            for c in range(n_chunks)]
     deadline = (_time.time() + time_limit_s
                 if time_limit_s is not None else None)
-    rows = ds.map_batches(
-        _score_rows,
-        fn_kwargs={
-            "index_dir": index_dir, "queries_ref": queries_ref,
-            "ctx_ref": ctx_ref, "k": k, "deadline": deadline,
-        },
-        batch_format="pandas",
-        batch_size=1,
-        concurrency=concurrency,
-    ).to_pandas()  # k × leaves × queries rows — small
-    tbl = merge_top_docs([rows], k)
+    # queries/ctx ride one object ref each (one plasma get per task)
+    queries_ref, ctx_ref = ray.put(qitems), ray.put(ctx)
+    parts = map_leaves(_score_task, index_dir, work, queries_ref, ctx_ref, k,
+                       deadline)
+    tbl = merge_top_docs(parts, k)
     if time_limit_s is not None:
-        timed_out = "qid" in rows and bool((rows["qid"] == -1).any())
+        timed_out = any(bool((p["qid"] == -1).any()) for p in parts)
         tbl = tbl.append_column(
             "timed_out", pa.array([timed_out] * tbl.num_rows, pa.bool_()))
     return tbl
@@ -727,9 +719,8 @@ def real_time_get(
     """
     leaves = mf.leaf_rows(index_dir, mf.read_index_manifest(index_dir))
     req = list(dict.fromkeys(ids))
-    parts = [t for t in ray.get([
-        _rtg_leaf_task.remote(index_dir, g, req, key_field)
-        for g in _leaf_groups(leaves)]) if t is not None]
+    parts = [t for t in map_leaves(_rtg_leaf_task, index_dir, leaves, req,
+                                   key_field) if t is not None]
     if not parts:
         return pa.table({key_field: pa.array([]),
                          "docid": pa.array([], pa.int64())})

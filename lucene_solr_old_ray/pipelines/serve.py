@@ -1,10 +1,9 @@
 """Low-latency query serving: a persistent searcher actor pool.
 
-The batch `search()` pipeline launches a fresh Dataset execution per query
-batch — right for throughput, wrong for per-query latency (Ray Data scheduling
-costs ~100s of ms). Serving is the one place the Dataset API genuinely cannot
-express the semantics (long-lived mmap'd state + sub-second fan-out), so this
-module drops to raw Ray actors as the documented exception: one
+The batch `search()` pipeline dispatches fresh scoring tasks per query
+batch (one per cluster CPU; each worker reopens leaves from its process
+cache), which suits a batch but not a single query, whose latency is the
+fixed cost. Serving keeps its leaves open in stateful actors: one
 ``@ray.remote`` searcher actor per shard group, created once, queried many
 times (the architecture the north star names: "query serving is a stateful
 actor-pool stage holding memory-mapped segment shards").

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .functions.analysis import analyze_text
+from .functions.valuesource import collect_vs_terms, map_queries, queries_of
 
 MUST = "MUST"
 SHOULD = "SHOULD"
@@ -817,21 +818,22 @@ OPAQUE_QUERY_FIELDS: dict[type, str] = {
 
 def subqueries(q: "Query") -> list:
     """The direct subqueries of ``q`` (clauses unwrapped), per
-    :data:`SUBQUERY_FIELDS`; [] for leaves and opaque types."""
+    :data:`SUBQUERY_FIELDS`, then the queries held in its value source
+    (``valuesource.QUERY_FIELD``); [] for leaves and opaque types."""
     out = []
     for f in SUBQUERY_FIELDS.get(type(q), ()):
         v = getattr(q, f)
         for c in (v if isinstance(v, tuple) else (v,)):
             out.append(c.query if isinstance(c, BooleanClause) else c)
-    return out
+    vs = value_source(q)
+    return out + queries_of(vs) if vs is not None else out
 
 
 def map_subqueries(q: "Query", fn) -> "Query":
     """``q`` with ``fn`` applied to each direct subquery (a clause keeps its
-    occur); leaves and opaque types come back as they are."""
-    fields = SUBQUERY_FIELDS.get(type(q))
-    if not fields:
-        return q
+    occur), including the queries held in its value source; leaves and
+    opaque types come back as they are."""
+    changes = {}
 
     def apply(v):
         if not isinstance(v, tuple):
@@ -839,7 +841,12 @@ def map_subqueries(q: "Query", fn) -> "Query":
         return tuple(BooleanClause(c.occur, fn(c.query))
                      if isinstance(c, BooleanClause) else fn(c) for c in v)
 
-    return replace(q, **{f: apply(getattr(q, f)) for f in fields})
+    for f in SUBQUERY_FIELDS.get(type(q), ()):
+        changes[f] = apply(getattr(q, f))
+    vs = value_source(q)
+    if vs is not None:
+        changes[VALUE_SOURCE_FIELD[type(q)]] = map_queries(vs, fn)
+    return replace(q, **changes) if changes else q
 
 
 def value_source(q: "Query"):
@@ -956,8 +963,6 @@ def collect_stats_terms(q: Query) -> set[tuple[str | None, str]]:
     out: set[tuple[str | None, str]] = set()
     vs = value_source(q)
     if vs is not None:
-        from .functions.valuesource import collect_vs_terms
-
         out |= collect_vs_terms(vs)
     if isinstance(q, (ToParentBlockJoinQuery, ToChildBlockJoinQuery)):
         out.add((q.parent_field, q.parent_value))

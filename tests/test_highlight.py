@@ -65,3 +65,43 @@ def test_highlight_hits_end_to_end(ray_session, tmp_path):
     top = out[out["rank"] == 1].iloc[0]
     assert top["snippet"].count("<b>") == 3  # spark, window, spark
     assert "<b>spark</b>" in top["snippet"] and "<b>window</b>" in top["snippet"]
+
+
+def test_highlighters_weigh_the_planned_query(ray_session, tmp_path):
+    """Every highlighter marks the terms of the PLANNED query: a scoring
+    prefix weighs its expansion (WeightedSpanTermExtractor after rewrite),
+    and a query with no highlightable term gives no fragment (the typed
+    empty table) or, for the postings highlighter, the empty highlight."""
+    import dataclasses
+
+    from lucene_solr_old_ray.functions import valuesource as vs
+    from lucene_solr_old_ray.pipelines.highlight import highlight_hits_fvh
+    from lucene_solr_old_ray.pipelines.postings_highlight import (
+        highlight_hits_postings)
+    from lucene_solr_old_ray.queries import FunctionQuery, PrefixQuery
+
+    texts = ["apple pie", "applet code", "banana split", "apply here"]
+    p = str(tmp_path / "documents.parquet")
+    pq.write_table(pa.table({
+        "doc_id": pa.array(range(len(texts)), pa.int64()),
+        "text": pa.array(texts), "lang": pa.array(["en"] * len(texts)),
+        "source": pa.array(["s"] * len(texts))}), p)
+    idx = str(tmp_path / "idx")
+    build_index(dataclasses.replace(
+        CorpusSpec.documents(str(tmp_path)), store_offsets=True,
+        store_term_vectors=True, store_tv_offsets=True), idx,
+        target_docs_per_partition=2)
+    pfx = PrefixQuery("appl", rewrite="scoring_boolean")
+    for fn in (highlight_hits, highlight_hits_fvh, highlight_hits_postings):
+        out = fn(idx, p, pfx, k=5).to_pandas()
+        assert sorted(out["doc_id"]) == [0, 1, 3], fn.__name__
+        for did, snip in zip(out["doc_id"], out["snippet"]):
+            word = texts[did].split()[0]
+            assert f"<b>{word}</b>" in snip, (fn.__name__, snip)
+        none = fn(idx, p, FunctionQuery(vs.Const(1.0)), k=5)
+        if fn is highlight_hits_postings:
+            # PostingsHighlighter's empty highlight: a summary, no score
+            assert set(none["score_bp"].to_pylist()) == {-1}
+        else:
+            assert none.num_rows == 0, fn.__name__
+            assert "rank" in none.column_names, fn.__name__

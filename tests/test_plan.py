@@ -84,6 +84,8 @@ def shapes(hand: bool):
         ("scale_under_boosting", BoostingQuery(
             FunctionQuery(scale_of(hand)), TermQuery("cherry"), 0.5)),
         ("scale_in_frange", FunctionRangeQuery(scale_of(hand), 0.5, None)),
+        ("query_value_source", FunctionQuery(vs.Sum((
+            vs.QueryScore(pfx), vs.Const(1.0))))),
     ]
 
 
@@ -180,3 +182,27 @@ def test_subquery_table_is_complete():
             if holds_query.search(ann) or "ValueSource" in ann:
                 seen.setdefault(c, set()).add(f.name)
     assert seen == planned
+
+
+def test_value_source_tables_are_complete():
+    """Every value-source dataclass field that holds a value source is in
+    ``_CHILD_FIELDS``, and every one that holds a query is in
+    ``QUERY_FIELD`` — a query inside a value source cannot skip the
+    planner."""
+    children = {t: set(fs) for t, fs in vs._CHILD_FIELDS.items()}
+    held = {t: {f} for t, f in vs.QUERY_FIELD.items()}
+    seen_vs: dict[type, set] = {}
+    seen_q: dict[type, set] = {}
+    for c in vars(vs).values():
+        if not (isinstance(c, type) and dataclasses.is_dataclass(c)
+                and c.__module__ == vs.__name__):
+            continue
+        for f in dataclasses.fields(c):
+            ann = str(f.type)
+            assert ann not in ("tuple", "object"), (c.__name__, f.name)
+            if "ValueSource" in ann:
+                seen_vs.setdefault(c, set()).add(f.name)
+            if re.search(r"\bQuery\b", ann):
+                seen_q.setdefault(c, set()).add(f.name)
+    assert seen_vs == children
+    assert seen_q == held
